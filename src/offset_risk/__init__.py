@@ -19,6 +19,7 @@ from .model import (
     loss_value,
     predict,
     predict_all,
+    replicate_draws,
     rng_stream,
     squared_loss,
 )

@@ -25,7 +25,7 @@ from math import comb, log
 
 import numpy as np
 
-from .model import DiscreteDistribution, draw_atom_ids, rng_stream
+from .model import DiscreteDistribution, replicate_draws
 
 __all__ = [
     "FiniteClassSpec",
@@ -157,21 +157,6 @@ def star_hull_sup_rows(linear: np.ndarray, quad: np.ndarray) -> np.ndarray:
     return np.max(lam * linear - lam**2 * quad, axis=-1)
 
 
-def _replicate_draws(
-    dist: DiscreteDistribution, n: int, replicates: int, seed: int, tag: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-replicate atom ids and sign vectors, one keyed stream per replicate."""
-    if replicates < 1 or n < 1:
-        raise ValueError("need at least one replicate and one draw per replicate")
-    idx = np.empty((replicates, n), dtype=np.int64)
-    signs = np.empty((replicates, n), dtype=np.float64)
-    for r in range(replicates):
-        rng = rng_stream(seed, tag, r)
-        idx[r] = draw_atom_ids(dist, n, rng)
-        signs[r] = rng.integers(0, 2, size=n) * 2.0 - 1.0
-    return idx, signs
-
-
 def _per_draw_sups(
     class_spec: FiniteClassSpec,
     gamma: float,
@@ -214,7 +199,7 @@ def offset_complexity_draws(
         raise ValueError("gamma must be nonnegative")
     if class_spec.base.shape[1] != dist.size:
         raise ValueError("class value tables must match the support size")
-    idx, signs = _replicate_draws(dist, n, replicates, seed, "offset-complexity")
+    idx, signs = replicate_draws(seed, "offset-complexity", replicates, n, dist, signs=True)
     pop_sq = (class_spec.base**2) @ dist.probs if include_population_term else None
     return _per_draw_sups(class_spec, gamma, idx, signs, pop_sq)
 
@@ -310,10 +295,7 @@ def empirical_offset_complexity(
         )
     if sigma_replicates < 1:
         raise ValueError("need at least one sign replicate outside exact mode")
-    signs = np.empty((sigma_replicates, n), dtype=np.float64)
-    for r in range(sigma_replicates):
-        rng = rng_stream(seed, "empirical-offset-sigma", r)
-        signs[r] = rng.integers(0, 2, size=n) * 2.0 - 1.0
+    _, signs = replicate_draws(seed, "empirical-offset-sigma", sigma_replicates, n, signs=True)
     linear = signs @ h_at.T
     quad = np.broadcast_to(quad_emp, linear.shape)
     if class_spec.star_hull:
@@ -338,7 +320,7 @@ def local_sup_stats(
     """
     if class_spec.base.shape[1] != dist.size:
         raise ValueError("class value tables must match the support size")
-    idx, signs = _replicate_draws(dist, n, replicates, seed, "local-complexity")
+    idx, signs = replicate_draws(seed, "local-complexity", replicates, n, dist, signs=True)
     h_at = class_spec.base.T[idx]  # (R, n, k)
     S = np.einsum("rn,rnk->rk", signs, h_at) / n
     pop_sq = (class_spec.base**2) @ dist.probs
@@ -522,10 +504,7 @@ def sparse_offset_bound_check(
     universal constant.
     """
     n = spec.n
-    sigmas = np.empty((sigma_replicates, n), dtype=np.float64)
-    for r in range(sigma_replicates):
-        rng = rng_stream(seed, "sparse-offset-sigma", r)
-        sigmas[r] = rng.integers(0, 2, size=n) * 2.0 - 1.0
+    _, sigmas = replicate_draws(seed, "sparse-offset-sigma", sigma_replicates, n, signs=True)
     per_sigma = sparse_offset_values(spec, sigmas) / n
     estimate = _mc_estimate(per_sigma, spec.gamma, "sparse_exact")
     benchmark = (1.0 / spec.gamma) * spec.k * log(np.e * spec.d / spec.k) / n

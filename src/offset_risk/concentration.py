@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexity import FiniteClassSpec, star_hull_sup
-from .model import DiscreteDistribution, draw_atom_ids, rng_stream
+from .model import DiscreteDistribution, replicate_draws, rng_stream
 
 __all__ = [
     "MultiplierSetup",
@@ -161,13 +161,8 @@ def simulate_sup_draws(
     Each replicate owns a keyed stream, so results are independent of
     batching and execution order.
     """
-    if replicates < 1 or n < 1:
-        raise ValueError("need at least one replicate and one draw per replicate")
+    idx, _ = replicate_draws(seed, "multiplier-sample", replicates, n, setup.joint)
     base, mean_cross, mean_sq = _coefficient_tables(setup)
-    idx = np.empty((replicates, n), dtype=np.int64)
-    for r in range(replicates):
-        rng = rng_stream(seed, "multiplier-sample", r)
-        idx[r] = draw_atom_ids(setup.joint, n, rng)
     h_at = base.T[idx]  # (R, n, k)
     zeta_at = setup.zeta[idx]  # (R, n)
     linear = np.einsum("rn,rnk->rk", zeta_at, h_at) - n * mean_cross[None, :]
@@ -199,15 +194,13 @@ def _bootstrap_log_mgf(
     rng = rng_stream(seed, "mgf-bootstrap")
     stats = np.empty((resamples, lambdas.size))
     chunk = max(1, int(2**24 // max(1, r)))
+    block = np.empty((min(chunk, resamples), r))  # resample counts, one row each
     done = 0
     while done < resamples:
         batch = min(chunk, resamples - done)
-        counts = np.stack(
-            [
-                np.bincount(rng.integers(0, r, size=r), minlength=r)
-                for _ in range(batch)
-            ]
-        ).astype(np.float64)
+        counts = block[:batch]
+        for row in counts:
+            row[:] = np.bincount(rng.integers(0, r, size=r), minlength=r)
         means = counts @ sups / r
         log_mgf_raw = np.log(counts @ exp_cols / r)  # log mean exp(lam(U - shift))
         stats[done : done + batch] = log_mgf_raw + lambdas[None, :] * (shift - means[:, None])

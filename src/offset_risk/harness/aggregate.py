@@ -25,8 +25,7 @@ from ..model import (
     LossSpec,
     PredictorWeights,
     Sample,
-    draw_atom_ids,
-    rng_stream,
+    replicate_draws,
     squared_loss,
 )
 from ..risk import population_minimizer, population_risk_of_values
@@ -118,24 +117,25 @@ def run_aggregate(
         dist, dictionary = resolve_instance(config)
     loss = squared_loss(dist.b)
     gstar_risk = population_minimizer(dist, loss, dictionary).gstar_risk
-    cells = [(n, rep) for n in config.n_grid for rep in range(config.replicates)]
+    workers = worker_count()
 
-    def run_cell(cell: tuple[int, int]) -> float:
-        n, rep = cell
-        rng = rng_stream(config.seed, f"aggregate-{config.estimator}-n{n}", rep)
-        sample = Sample(indices=draw_atom_ids(dist, n, rng))
+    def fit_cell(indices: np.ndarray) -> float:
         return _fit_excess(
-            config.estimator, dist, dictionary, loss, sample,
+            config.estimator, dist, dictionary, loss, Sample(indices=indices),
             config.delta, config.c1, gstar_risk,
         )
 
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            excesses = list(pool.map(run_cell, cells))
-    else:
-        excesses = [run_cell(c) for c in cells]
-    rows = [(n, rep, ex) for (n, rep), ex in zip(cells, excesses)]
+    rows = []
+    for n in config.n_grid:
+        idx, _ = replicate_draws(
+            config.seed, f"aggregate-{config.estimator}-n{n}", config.replicates, n, dist
+        )
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                excesses = list(pool.map(fit_cell, idx))
+        else:
+            excesses = [fit_cell(row) for row in idx]
+        rows.extend((n, rep, ex) for rep, ex in enumerate(excesses))
 
     summary = []
     points = []

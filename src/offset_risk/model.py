@@ -29,6 +29,7 @@ __all__ = [
     "squared_loss",
     "custom_loss",
     "rng_stream",
+    "replicate_draws",
     "draw_atom_ids",
     "draw_sample",
     "predict",
@@ -39,6 +40,22 @@ __all__ = [
 ]
 
 _PROB_TOL = 1e-12
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+# Philox4x64-10 constants (Salmon et al., SC 2011): round multipliers and
+# the Weyl increments of the two key words.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+# Up to this many words per replicate, the numpy Philox kernel computes a
+# whole chunk of replicates at once; above it, one native Philox is re-keyed
+# per replicate. On a 2-core x86 VM with numpy 2.4 the kernel costs about
+# 75 ns per word and re-keying about 5 us per replicate; the two cross near
+# 80 words (6.1 against 6.2 us per replicate).
+_KERNEL_MAX_WORDS = 80
+# Words per chunk of replicates; bounds the temporaries of both word paths.
+_CHUNK_WORDS = 2**15
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -52,8 +69,13 @@ def _fnv1a64(text: str) -> int:
     acc = 0xCBF29CE484222325
     for byte in text.encode("utf-8"):
         acc ^= byte
-        acc = (acc * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+        acc = (acc * 0x100000001B3) & _MASK64
     return acc
+
+
+def _stream_key(seed: int, tag: str) -> int:
+    """First Philox key word of every stream under (seed, tag)."""
+    return (seed & _MASK64) ^ _fnv1a64(tag)
 
 
 def rng_stream(seed: int, tag: str, replicate: int = 0) -> np.random.Generator:
@@ -61,15 +83,10 @@ def rng_stream(seed: int, tag: str, replicate: int = 0) -> np.random.Generator:
 
     Parallel replicate execution order can never change results because every
     replicate owns its own key; repeated calls with equal arguments return
-    generators producing identical streams.
+    generators producing identical streams. For many replicates of one tag,
+    :func:`replicate_draws` yields the same draws without a generator each.
     """
-    key = np.array(
-        [
-            (np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ np.uint64(_fnv1a64(tag))),
-            np.uint64(replicate & 0xFFFFFFFFFFFFFFFF),
-        ],
-        dtype=np.uint64,
-    )
+    key = np.array([_stream_key(seed, tag), replicate & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -95,6 +112,7 @@ class DiscreteDistribution:
     probs: np.ndarray
     b: float
     _cum_probs: np.ndarray = field(init=False, repr=False, compare=False)
+    _last_atom: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         xs = np.atleast_2d(np.asarray(self.xs, dtype=np.float64))
@@ -118,6 +136,7 @@ class DiscreteDistribution:
         object.__setattr__(self, "ys", _freeze(ys))
         object.__setattr__(self, "probs", _freeze(probs))
         object.__setattr__(self, "_cum_probs", _freeze(np.cumsum(probs)))
+        object.__setattr__(self, "_last_atom", int(np.flatnonzero(probs > 0)[-1]))
 
     @property
     def size(self) -> int:
@@ -262,10 +281,117 @@ class PredictorWeights:
         object.__setattr__(self, "sparsity", int(np.count_nonzero(w)))
 
 
+def _atom_ids(dist: DiscreteDistribution, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF map of uniforms in [0, 1) to atom ids.
+
+    A uniform at or past the last cumulative probability, which may fall
+    short of 1 by rounding, goes to the last atom of positive probability,
+    so a zero-probability atom is never drawn.
+    """
+    return np.minimum(np.searchsorted(dist._cum_probs, u, side="right"), dist._last_atom)
+
+
 def draw_atom_ids(dist: DiscreteDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n atom ids i.i.d. from the atom law via inverse-CDF sampling."""
-    u = rng.random(n)
-    return np.minimum(np.searchsorted(dist._cum_probs, u, side="right"), dist.size - 1)
+    return _atom_ids(dist, rng.random(n))
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products m * x, from 32-bit limbs."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LO32, x >> _SHIFT32
+    lo_lo = m_lo * x_lo
+    hi_lo = m_hi * x_lo
+    lo_hi = m_lo * x_hi
+    carry = ((lo_lo >> _SHIFT32) + (hi_lo & _LO32) + (lo_hi & _LO32)) >> _SHIFT32
+    hi = m_hi * x_hi + (hi_lo >> _SHIFT32) + (lo_hi >> _SHIFT32) + carry
+    return hi, np.uint64(m) * x
+
+
+def _philox4x64(key0: int, replicates: np.ndarray, blocks: int) -> np.ndarray:
+    """Philox4x64-10 words of counters 1..blocks under keys (key0, r).
+
+    ``replicates`` is a uint64 array of replicate ids. Returns a
+    (len(replicates), 4 * blocks) uint64 array whose row for r is
+    what ``np.random.Philox(key=[key0, r]).random_raw(4 * blocks)`` returns.
+    """
+    x0 = np.arange(1, blocks + 1, dtype=np.uint64)[None, :]
+    x1 = x2 = x3 = np.zeros((1, 1), dtype=np.uint64)
+    k1 = replicates[:, None]
+    for i in range(10):
+        k0 = np.uint64((key0 + i * _PHILOX_W[0]) & _MASK64)
+        k1_i = k1 + np.uint64((i * _PHILOX_W[1]) & _MASK64)
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1_i, lo0
+    words = np.stack(np.broadcast_arrays(x0, x1, x2, x3), axis=-1)
+    return words.reshape(replicates.size, 4 * blocks)
+
+
+def _replicate_words(key0: int, replicates: int, words: int):
+    """First ``words`` Philox words of replicates 0..R-1, chunk by chunk.
+
+    Yields (first, block) pairs; row i of the uint64 block holds the words of
+    the stream keyed (key0, first + i). Few words per replicate go through
+    the numpy kernel, many through one re-keyed native Philox.
+    """
+    rows = max(1, _CHUNK_WORDS // words)
+    if words <= _KERNEL_MAX_WORDS:
+        blocks = -(-words // 4)
+        for lo in range(0, replicates, rows):
+            ids = np.arange(lo, min(replicates, lo + rows), dtype=np.uint64)
+            yield lo, _philox4x64(key0, ids, blocks)[:, :words]
+        return
+    bitgen = np.random.Philox(key=np.array([key0, 0], dtype=np.uint64))
+    state = bitgen.state  # counter 0 and an empty buffer: a fresh stream
+    for lo in range(0, replicates, rows):
+        block = np.empty((min(rows, replicates - lo), words), dtype=np.uint64)
+        for i in range(block.shape[0]):
+            state["state"]["key"][1] = lo + i
+            bitgen.state = state
+            block[i] = bitgen.random_raw(words)
+        yield lo, block
+
+
+def replicate_draws(
+    seed: int,
+    tag: str,
+    replicates: int,
+    n: int,
+    dist: DiscreteDistribution | None = None,
+    signs: bool = False,
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Atom ids and/or Rademacher signs of replicates 0..R-1 of one keyed stream.
+
+    Returns ``(idx, signs)``: ``idx`` is an (R, n) int64 array of draws from
+    ``dist`` (None without a distribution) and ``signs`` an (R, n) float64
+    array of +-1 (None unless ``signs`` is set). Row r is bit for bit what
+    ``rng = rng_stream(seed, tag, r)`` gives from ``draw_atom_ids(dist, n,
+    rng)`` followed by ``rng.integers(0, 2, size=n) * 2.0 - 1.0``. Replicate
+    r reads the Philox4x64-10 words of key (seed ^ fnv1a64(tag), r), counters
+    1, 2, ... with four words each: uniform j is ``(w[j] >> 11) * 2**-53``
+    and sign j is the top bit of the low (j even) or high (j odd) 32-bit half
+    of ``w[m + j // 2]``, with m = n when atom ids are drawn and 0 otherwise.
+    """
+    if replicates < 1 or n < 1:
+        raise ValueError("need at least one replicate and one draw per replicate")
+    if dist is None and not signs:
+        raise ValueError("nothing to draw: give a distribution, signs=True, or both")
+    first_sign = 0 if dist is None else n
+    words = first_sign + (-(-n // 2) if signs else 0)
+    idx = None if dist is None else np.empty((replicates, n), dtype=np.int64)
+    sgn = np.empty((replicates, n), dtype=np.float64) if signs else None
+    for lo, block in _replicate_words(_stream_key(seed, tag), replicates, words):
+        hi = lo + block.shape[0]
+        if idx is not None:
+            idx[lo:hi] = _atom_ids(dist, (block[:, :n] >> np.uint64(11)) * 2.0**-53)
+        if sgn is not None:
+            halves = block[:, first_sign:]
+            bits = np.empty((block.shape[0], 2 * halves.shape[1]), dtype=np.uint64)
+            bits[:, 0::2] = (halves >> np.uint64(31)) & np.uint64(1)
+            bits[:, 1::2] = halves >> np.uint64(63)
+            sgn[lo:hi] = bits[:, :n] * 2.0 - 1.0
+    return idx, sgn
 
 
 def draw_sample(dist: DiscreteDistribution, n: int, seed: int) -> Sample:

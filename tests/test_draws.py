@@ -1,0 +1,118 @@
+"""Keyed draw layer: block draws against the one-stream-per-replicate loop."""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from offset_risk import model
+from offset_risk.model import DiscreteDistribution, draw_atom_ids, replicate_draws, rng_stream
+
+DISTS = (
+    DiscreteDistribution(xs=[[0.0]], ys=[0.0], probs=[1.0], b=1.0),
+    DiscreteDistribution(
+        xs=[[0.0], [1.0], [2.0], [3.0], [4.0]],
+        ys=[0.0, 0.1, 0.2, 0.3, 0.4],
+        probs=[0.1, 0.0, 0.3, 0.6, 0.0],
+        b=1.0,
+    ),
+    DiscreteDistribution(
+        xs=np.arange(12.0)[:, None], ys=np.zeros(12), probs=np.full(12, 1.0 / 12.0), b=1.0
+    ),
+)
+
+
+def loop_draws(seed, tag, replicates, n, dist, signs):
+    """The reference: one keyed stream per replicate, atom ids before signs."""
+    idx = np.empty((replicates, n), dtype=np.int64)
+    sgn = np.empty((replicates, n))
+    for r in range(replicates):
+        rng = rng_stream(seed, tag, r)
+        if dist is not None:
+            idx[r] = draw_atom_ids(dist, n, rng)
+        if signs:
+            sgn[r] = rng.integers(0, 2, size=n) * 2.0 - 1.0
+    return (idx if dist is not None else None), (sgn if signs else None)
+
+
+def assert_same_draws(got, want):
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+        else:
+            assert g.dtype == w.dtype and g.shape == w.shape
+            np.testing.assert_array_equal(g, w)
+
+
+def words_per_replicate(n, dist, signs):
+    return (n if dist is not None else 0) + (-(-n // 2) if signs else 0)
+
+
+draw_cases = st.tuples(
+    st.integers(0, 2**64 - 1),  # seeds at and above 2**63 included
+    st.text(min_size=0, max_size=8),  # non-ASCII tags included
+    st.integers(1, 30),
+    st.integers(1, 200),
+    st.sampled_from([None, *DISTS]),
+    st.booleans(),
+).filter(lambda c: c[4] is not None or c[5])
+
+
+class TestReplicateDraws:
+    @settings(max_examples=60, deadline=None)
+    @given(case=draw_cases, chunk_words=st.sampled_from([model._CHUNK_WORDS, 7, 64, 300]))
+    def test_both_word_paths_match_the_stream_loop(self, case, chunk_words):
+        # Small chunks make the replicate counts cross chunk boundaries.
+        seed, tag, replicates, n, dist, signs = case
+        want = loop_draws(seed, tag, replicates, n, dist, signs)
+        for kernel_max_words in (0, 10**9):  # re-keyed native Philox, numpy kernel
+            with mock.patch.multiple(model, _CHUNK_WORDS=chunk_words,
+                                     _KERNEL_MAX_WORDS=kernel_max_words):
+                got = replicate_draws(seed, tag, replicates, n, dist, signs=signs)
+            assert_same_draws(got, want)
+
+    @pytest.mark.parametrize("words", [model._KERNEL_MAX_WORDS, model._KERNEL_MAX_WORDS + 1])
+    @pytest.mark.parametrize("mode", ["ids", "signs", "both"])
+    def test_either_side_of_the_crossover(self, words, mode):
+        dist = None if mode == "signs" else DISTS[1]
+        signs = mode != "ids"
+        n = next(n for n in range(1, 4 * words) if words_per_replicate(n, dist, signs) >= words)
+        want = loop_draws(2**63 + 5, "crossover-é", 9, n, dist, signs)
+        assert_same_draws(replicate_draws(2**63 + 5, "crossover-é", 9, n, dist, signs), want)
+
+    def test_replicates_past_one_full_chunk(self):
+        n = 5  # 8 words per replicate, so a chunk holds _CHUNK_WORDS // 8 replicates
+        replicates = model._CHUNK_WORDS // 8 + 3
+        want = loop_draws(17, "chunks", replicates, n, DISTS[2], True)
+        assert_same_draws(replicate_draws(17, "chunks", replicates, n, DISTS[2], True), want)
+
+    def test_zero_probability_atoms_are_never_drawn(self):
+        idx, _ = replicate_draws(3, "zero-atoms", 2000, 9, DISTS[1])
+        assert set(np.unique(idx)) <= {0, 2, 3}
+
+    @pytest.mark.parametrize("replicates, n", [(0, 4), (4, 0), (-1, 4), (4, -2)])
+    def test_empty_shapes_are_rejected(self, replicates, n):
+        with pytest.raises(ValueError, match="at least one"):
+            replicate_draws(0, "t", replicates, n, DISTS[0], signs=True)
+
+    def test_nothing_to_draw_is_rejected(self):
+        with pytest.raises(ValueError, match="nothing to draw"):
+            replicate_draws(0, "t", 3, 3)
+
+
+class _LastUniformRng:
+    """Stub generator whose every uniform is the largest double below 1."""
+
+    def random(self, n):
+        return np.full(n, 1.0 - 2.0**-53)
+
+
+def test_uniform_past_the_cdf_goes_to_the_last_positive_atom():
+    # The probabilities sum to 1 - 1e-13, so the largest uniform lies past
+    # the last cumulative probability; the trailing atom has probability 0.
+    dist = DiscreteDistribution(
+        xs=[[0.0], [1.0], [2.0]], ys=[0.0, 0.0, 0.0], probs=[0.5, 0.5 - 1e-13, 0.0], b=1.0
+    )
+    assert draw_atom_ids(dist, 3, _LastUniformRng()).tolist() == [1, 1, 1]
