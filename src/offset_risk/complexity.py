@@ -436,16 +436,55 @@ def sparse_offset_exact(spec: SparseClassSpec, sigma: np.ndarray) -> float:
     supremum of <Phi_S w, sigma> - gamma w' Phi_S' Phi_S w equals
     sigma' H_S sigma / (4 gamma) with H_S the projector onto the columns of
     Phi_S; the overall value is the max over supports. Divide by n externally
-    for the complexity normalization.
+    for the complexity normalization. Computed as the one-row case of
+    :func:`sparse_offset_values`.
     """
     sigma = np.asarray(sigma, dtype=np.float64).ravel()
     if sigma.shape[0] != spec.n:
         raise ValueError("sigma must have one entry per feature row")
-    best = 0.0
-    for subset in subset_family(spec.d, spec.k):
-        H = hat_matrix(spec.features[:, subset])
-        best = max(best, float(sigma @ H @ sigma))
-    return best / (4.0 * spec.gamma)
+    return float(sparse_offset_values(spec, sigma[None, :])[0])
+
+
+# Subsets per batched SVD are capped so that the stacked (subsets, n, size)
+# input holds at most this many float64 values (8 MB).
+_SVD_CHUNK_ELEMENTS = 2**20
+
+# One slot, {"entry": (key, bases)}, so at most one basis set is resident: a
+# gamma sweep reuses it, any other (features, k) replaces it. The key is the
+# feature content, not the array's identity, so an in-place edit of the
+# features misses the slot.
+_basis_slot: dict = {}
+
+
+def _build_subset_bases(features: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    n, d = features.shape
+    family = subset_family(d, k)
+    # Upper bound on the total rank; rows past the actual total stay unwritten.
+    rows = np.empty((sum(comb(d, size) * min(n, size) for size in range(1, k + 1)), n))
+    ranks: list[np.ndarray] = []
+    filled = 0
+    first = 0
+    for size in range(1, k + 1):
+        members = np.array(family[first : first + comb(d, size)], dtype=np.intp)
+        first += members.shape[0]
+        chunk = max(1, _SVD_CHUNK_ELEMENTS // (n * size))
+        for lo in range(0, members.shape[0], chunk):
+            cols = features[:, members[lo : lo + chunk]].transpose(1, 0, 2)
+            u, sv, _ = np.linalg.svd(cols, full_matrices=False)
+            # Same rank cut as hat_matrix; an all-zero subset keeps nothing.
+            keep = sv > 1e-10 * sv[:, :1]
+            block = u.transpose(0, 2, 1)[keep]
+            rows[filled : filled + block.shape[0]] = block
+            filled += block.shape[0]
+            # Rank-zero subsets contribute exactly 0 and are dropped here;
+            # the caller clamps the overall maximum at 0, and empty segments
+            # would corrupt the segmented reduction.
+            rank = keep.sum(axis=1)
+            ranks.append(rank[rank > 0])
+    sizes = np.concatenate(ranks)
+    starts = np.zeros(sizes.size, dtype=np.int64)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    return rows[:filled], starts
 
 
 def _stacked_subset_bases(spec: SparseClassSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -453,25 +492,21 @@ def _stacked_subset_bases(spec: SparseClassSpec) -> tuple[np.ndarray, np.ndarray
 
     Returns (basis_rows, segment_starts): basis_rows is (total_rank, n) with
     the transposed bases stacked; segment_starts delimits each subset's rows
-    for segmented reduction.
+    for segmented reduction. Each subset size takes one batched SVD per
+    chunk. The result is kept for the next call with the same feature
+    content and k; both arrays are read-only because later calls share them.
     """
-    subsets = subset_family(spec.d, spec.k)
-    blocks: list[np.ndarray] = []
-    sizes: list[int] = []
-    for subset in subsets:
-        cols = spec.features[:, subset]
-        u, sv, _ = np.linalg.svd(cols, full_matrices=False)
-        keep = sv > 1e-10 * sv[0] if sv.size and sv[0] > 0 else np.zeros(sv.shape, dtype=bool)
-        basis = u[:, keep]
-        if basis.shape[1]:
-            # Rank-zero subsets contribute exactly 0 and are dropped here;
-            # the caller clamps the overall maximum at 0, and empty segments
-            # would corrupt the segmented reduction.
-            blocks.append(basis.T)
-            sizes.append(basis.shape[1])
-    basis_rows = np.vstack(blocks) if blocks else np.zeros((0, spec.n))
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64) if sizes else np.zeros(0, dtype=np.int64)
-    return basis_rows, starts
+    feats = spec.features
+    key = (feats.shape, feats.tobytes(), spec.k)
+    cached = _basis_slot.get("entry")
+    if cached is not None and cached[0] == key:
+        return cached[1]
+    _basis_slot.clear()
+    bases = _build_subset_bases(feats, spec.k)
+    for arr in bases:
+        arr.flags.writeable = False
+    _basis_slot["entry"] = (key, bases)
+    return bases
 
 
 def sparse_offset_values(spec: SparseClassSpec, sigmas: np.ndarray) -> np.ndarray:

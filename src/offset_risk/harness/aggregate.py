@@ -75,11 +75,15 @@ def fit_rate(points: list[tuple[int, float]]) -> RateFit:
 
 
 def worker_count() -> int:
+    """Worker threads for the aggregate study, from OFFSET_RISK_THREADS (default 1)."""
     raw = os.environ.get("OFFSET_RISK_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"OFFSET_RISK_THREADS must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 def _fit_excess(

@@ -4,8 +4,10 @@ Commands
 --------
 aggregate      excess-risk rate study over the sample-size grid
 complexity     offset / localized complexity estimates for the instance class
-concentration  multiplier-process MGF and tail verification
-mirror         early-stopped mirror descent trace on the instance features
+concentration  multiplier-process MGF and tail verification; exit code 1 on
+               any MGF violation or tail failure
+mirror         early-stopped mirror descent trace on the instance features;
+               exit code 1 when the stopping time t* is not reached
 verify         full verification suite; exit code 0 iff every check passes
 
 All outputs embed the config hash and master seed. Worker fan-out for the
@@ -202,7 +204,7 @@ def _cmd_concentration(config: ExperimentConfig, out: Path, formats: list[str]) 
         f"concentration: eta {setup.eta:.4g}, mean sup {report.mean_sup:.5g}, "
         f"{len(report.violations)} MGF violations, tail holds {tails.holds} [{status}]"
     )
-    return 0
+    return 0 if status == "ok" else 1
 
 
 def _cmd_mirror(config: ExperimentConfig, out: Path, formats: list[str]) -> int:
@@ -249,7 +251,7 @@ def _cmd_mirror(config: ExperimentConfig, out: Path, formats: list[str]) -> int:
         f"(bound {2 * trace.bregman_initial / trace.epsilon:.4g}), "
         f"euler excess {trace.euler_excess:.3g}"
     )
-    return 0
+    return 0 if trace.t_star is not None else 1
 
 
 def _cmd_verify(config: ExperimentConfig, out: Path, formats: list[str]) -> int:

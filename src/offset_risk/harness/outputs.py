@@ -3,13 +3,15 @@
 Every file carries the config hash and master seed. CSV rows carry them as
 ordinary trailing columns so the files stay plain RFC-4180 tables; floats are
 written with shortest-round-trip repr so re-parsing reproduces the in-memory
-values exactly.
+values exactly. JSON files are strict JSON: non-finite floats are written as
+null.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -74,9 +76,11 @@ def read_csv(path: str | Path) -> tuple[list[str], list[list]]:
 
 def _jsonable(obj):
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return _jsonable(obj.tolist())
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -87,7 +91,7 @@ def _jsonable(obj):
 def write_json(path: str | Path, doc: dict) -> Path:
     path = Path(path)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(doc), fh, indent=2, sort_keys=True)
+        json.dump(_jsonable(doc), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return path
 

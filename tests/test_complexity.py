@@ -1,10 +1,12 @@
 """Complexity estimators against exhaustive-enumeration and dense oracles."""
 
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
 
+from offset_risk import complexity
 from offset_risk.complexity import (
     FiniteClassSpec,
     SparseClassSpec,
@@ -233,6 +235,29 @@ def dense_subset_oracle(features, subset, sigma, gamma):
     return float(w @ rhs - gamma * w @ gram @ w)
 
 
+def loop_sparse_offset_exact(spec, sigma):
+    """Per-subset projector loop: the reference for the batched sparse kernel."""
+    best = 0.0
+    for subset in subset_family(spec.d, spec.k):
+        H = hat_matrix(spec.features[:, subset])
+        best = max(best, float(sigma @ H @ sigma))
+    return best / (4.0 * spec.gamma)
+
+
+def loop_subset_bases(features, k):
+    """One SVD per subset: the reference for the batched basis build."""
+    blocks, sizes = [], []
+    for subset in subset_family(features.shape[1], k):
+        u, sv, _ = np.linalg.svd(features[:, subset], full_matrices=False)
+        keep = sv > 1e-10 * sv[0] if sv[0] > 0 else np.zeros(sv.shape, dtype=bool)
+        if keep.any():
+            blocks.append(u[:, keep].T)
+            sizes.append(int(keep.sum()))
+    rows = np.vstack(blocks) if blocks else np.zeros((0, features.shape[0]))
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64) if sizes else np.zeros(0, dtype=np.int64)
+    return rows, starts
+
+
 class TestSparseOffset:
     def test_rank_one_formula(self):
         rng = np.random.default_rng(14)
@@ -277,7 +302,9 @@ class TestSparseOffset:
         sigmas = rng.choice([-1.0, 1.0], size=(6, 8))
         batched = sparse_offset_values(spec, sigmas)
         singles = np.array([sparse_offset_exact(spec, s) for s in sigmas])
-        np.testing.assert_allclose(batched, singles, atol=1e-10)
+        looped = np.array([loop_sparse_offset_exact(spec, s) for s in sigmas])
+        np.testing.assert_allclose(singles, batched, rtol=1e-13)
+        np.testing.assert_allclose(batched, looped, atol=1e-10)
 
     def test_batched_values_with_rank_zero_column(self):
         # A zero feature column creates rank-zero supports, which must
@@ -289,7 +316,9 @@ class TestSparseOffset:
         sigmas = rng.choice([-1.0, 1.0], size=(5, 8))
         batched = sparse_offset_values(spec, sigmas)
         singles = np.array([sparse_offset_exact(spec, s) for s in sigmas])
-        np.testing.assert_allclose(batched, singles, atol=1e-10)
+        looped = np.array([loop_sparse_offset_exact(spec, s) for s in sigmas])
+        np.testing.assert_allclose(singles, batched, rtol=1e-13)
+        np.testing.assert_allclose(batched, looped, atol=1e-10)
 
     def test_inverse_gamma_scaling_per_sigma(self):
         rng = np.random.default_rng(18)
@@ -298,6 +327,17 @@ class TestSparseOffset:
         v1 = sparse_offset_exact(SparseClassSpec(features=phi, k=2, gamma=1.0), sigma)
         v2 = sparse_offset_exact(SparseClassSpec(features=phi, k=2, gamma=2.0), sigma)
         assert v2 == pytest.approx(0.5 * v1, rel=1e-12)
+
+    def test_exact_matches_projector_loop_with_collinear_columns(self):
+        rng = np.random.default_rng(24)
+        phi = rng.normal(size=(9, 5))
+        phi[:, 3] = -1.5 * phi[:, 1]
+        for k in (1, 2, 3):
+            spec = SparseClassSpec(features=phi, k=k, gamma=0.6)
+            for sigma in rng.choice([-1.0, 1.0], size=(4, 9)):
+                assert sparse_offset_exact(spec, sigma) == pytest.approx(
+                    loop_sparse_offset_exact(spec, sigma), rel=1e-12
+                )
 
     def test_hat_matrix_invariants(self):
         rng = np.random.default_rng(19)
@@ -330,3 +370,122 @@ class TestSparseOffset:
             2 * np.log(np.e * 6 / 2) / 16, rel=1e-12
         )
         assert report.ratio == pytest.approx(report.estimate.value / report.benchmark)
+
+
+def _collinear_features():
+    phi = np.random.default_rng(30).normal(size=(10, 6))
+    phi[:, 2] = 3.0 * phi[:, 0]
+    phi[:, 5] = phi[:, 0] - phi[:, 4]
+    return phi, 3
+
+
+def _zero_column_features():
+    phi = np.random.default_rng(31).normal(size=(7, 5))
+    phi[:, 1] = 0.0
+    return phi, 2
+
+
+def _zero_features():
+    return np.zeros((6, 4)), 3
+
+
+def _chunk_crossing_features():
+    # 4845 four-subsets at n = 64: more than one batched SVD for size 4.
+    return np.random.default_rng(32).normal(size=(64, 20)), 4
+
+
+class TestSubsetBases:
+    @pytest.mark.parametrize(
+        "make",
+        [_collinear_features, _zero_column_features, _zero_features, _chunk_crossing_features],
+    )
+    def test_batched_build_matches_per_subset_svd_bit_for_bit(self, make):
+        phi, k = make()
+        rows, starts = complexity._stacked_subset_bases(
+            SparseClassSpec(features=phi, k=k, gamma=1.0)
+        )
+        ref_rows, ref_starts = loop_subset_bases(phi, k)
+        assert rows.shape == ref_rows.shape
+        assert rows.tobytes() == ref_rows.tobytes()
+        np.testing.assert_array_equal(starts, ref_starts)
+        assert starts.dtype == np.int64
+
+    def test_chunk_case_crosses_the_chunk_boundary(self):
+        phi, k = _chunk_crossing_features()
+        n = phi.shape[0]
+        assert comb(phi.shape[1], k) > complexity._SVD_CHUNK_ELEMENTS // (n * k)
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        original = complexity.subset_family
+
+        def counting(d, k):
+            calls.append((d, k))
+            return original(d, k)
+
+        monkeypatch.setattr(complexity, "subset_family", counting)
+        complexity._basis_slot.clear()
+        return calls
+
+    def test_reused_bases_follow_in_place_edit_of_features(self, builds):
+        rng = np.random.default_rng(33)
+        phi = rng.normal(size=(8, 5))
+        sigmas = rng.choice([-1.0, 1.0], size=(6, 8))
+        spec = SparseClassSpec(features=phi, k=2, gamma=1.0)
+        assert spec.features is phi
+        first = sparse_offset_values(spec, sigmas)
+        assert np.array_equal(sparse_offset_values(spec, sigmas), first)
+        assert len(builds) == 1
+        phi[:, 2] = phi[:, 0]
+        edited = sparse_offset_values(spec, sigmas)
+        assert len(builds) == 2
+        looped = np.array([loop_sparse_offset_exact(spec, s) for s in sigmas])
+        np.testing.assert_allclose(edited, looped, atol=1e-10)
+        assert not np.allclose(edited, first)
+
+    def test_reused_bases_follow_change_of_k(self, builds):
+        rng = np.random.default_rng(34)
+        phi = rng.normal(size=(8, 5))
+        sigmas = rng.choice([-1.0, 1.0], size=(6, 8))
+        for k in (2, 3, 2):
+            spec = SparseClassSpec(features=phi, k=k, gamma=0.9)
+            looped = np.array([loop_sparse_offset_exact(spec, s) for s in sigmas])
+            np.testing.assert_allclose(sparse_offset_values(spec, sigmas), looped, atol=1e-10)
+        assert builds == [(5, 2), (5, 3), (5, 2)]
+
+    def test_inverse_gamma_scaling_exact_across_reuse(self, builds):
+        rng = np.random.default_rng(35)
+        phi = rng.normal(size=(12, 6))
+        sigmas = rng.choice([-1.0, 1.0], size=(10, 12))
+        gammas = (0.5, 1.0, 2.0, 4.0)
+        values = [sparse_offset_values(SparseClassSpec(features=phi.copy(), k=3, gamma=g), sigmas)
+                  for g in gammas]
+        assert len(builds) == 1
+        for g, v in zip(gammas, values):
+            np.testing.assert_array_equal(g * v, values[1])
+
+    def test_slot_is_cleared_before_a_new_build(self, builds, monkeypatch):
+        # At most one basis set is resident: the old one is released before
+        # the next one is built.
+        resident = []
+        original = complexity._build_subset_bases
+
+        def build(features, k):
+            resident.append(len(complexity._basis_slot))
+            return original(features, k)
+
+        monkeypatch.setattr(complexity, "_build_subset_bases", build)
+        phi = np.random.default_rng(37).normal(size=(6, 4))
+        sigmas = np.ones((2, 6))
+        for k in (1, 2, 2, 3):
+            sparse_offset_values(SparseClassSpec(features=phi, k=k, gamma=1.0), sigmas)
+        assert resident == [0, 0, 0]
+        assert len(complexity._basis_slot) == 1
+
+    def test_shared_bases_are_read_only(self, builds):
+        phi = np.random.default_rng(36).normal(size=(5, 4))
+        rows, starts = complexity._stacked_subset_bases(
+            SparseClassSpec(features=phi, k=2, gamma=1.0)
+        )
+        assert not rows.flags.writeable and not starts.flags.writeable

@@ -1,5 +1,6 @@
 """Harness: config validation, outputs, rate study, verify manifest, CLI."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from offset_risk.harness.aggregate import fit_rate, run_aggregate
+from offset_risk.harness import cli
+from offset_risk.harness.aggregate import fit_rate, run_aggregate, worker_count
 from offset_risk.harness.config import ExperimentConfig, config_hash
 from offset_risk.harness.outputs import read_csv, write_csv, write_json, write_svg
 from offset_risk.harness.verify import run_verify
@@ -95,6 +97,22 @@ class TestOutputs:
         doc = json.loads(p.read_text())
         assert doc == {"arr": [0, 1, 2], "val": 0.5}
 
+    def test_json_writes_non_finite_floats_as_null(self, tmp_path):
+        doc = {
+            "slope": float("nan"),
+            "low": np.float64(-np.inf),
+            "arr": np.array([1.0, np.nan, -np.inf]),
+            "nested": [{"x": (np.inf, 2.5)}],
+        }
+        p = write_json(tmp_path / "s.json", doc)
+
+        def reject(token):
+            raise ValueError(f"invalid JSON constant {token}")
+
+        parsed = json.loads(p.read_text(), parse_constant=reject)
+        assert parsed == {"slope": None, "low": None, "arr": [1.0, None, None],
+                          "nested": [{"x": [None, 2.5]}]}
+
 
 class TestRateFit:
     def test_recovers_exact_power_law(self):
@@ -143,6 +161,20 @@ class TestRunAggregate:
         monkeypatch.setenv("OFFSET_RISK_THREADS", "4")
         threaded = run_aggregate(cfg, dist, dictionary)
         assert serial.rows == threaded.rows
+
+
+class TestWorkerCount:
+    def test_default_and_valid_values(self, monkeypatch):
+        monkeypatch.delenv("OFFSET_RISK_THREADS", raising=False)
+        assert worker_count() == 1
+        monkeypatch.setenv("OFFSET_RISK_THREADS", "3")
+        assert worker_count() == 3
+
+    @pytest.mark.parametrize("raw", ["two", "-3", "0", "1.5", ""])
+    def test_malformed_value_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("OFFSET_RISK_THREADS", raw)
+        with pytest.raises(ValueError, match=f"OFFSET_RISK_THREADS.*{raw!r}"):
+            worker_count()
 
 
 class TestRunVerify:
@@ -232,3 +264,39 @@ class TestCli:
     def test_bad_format_rejected(self, tmp_path):
         res = self.run_cli("aggregate", "--format", "pdf", "--out", str(tmp_path))
         assert res.returncode == 2
+
+    def test_concentration_exit_codes(self, tmp_path, monkeypatch, capsys):
+        argv = ["concentration", "--seed", "3", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert "[ok]" in capsys.readouterr().out
+
+        real_tail = cli.tail_verify
+        monkeypatch.setattr(
+            cli, "tail_verify",
+            lambda *a, **kw: dataclasses.replace(real_tail(*a, **kw), holds=False),
+        )
+        assert cli.main(argv) == 1
+        assert "[VIOLATIONS]" in capsys.readouterr().out
+
+        monkeypatch.setattr(cli, "tail_verify", real_tail)
+        real_mgf = cli.mgf_verify
+        monkeypatch.setattr(
+            cli, "mgf_verify",
+            lambda *a, **kw: dataclasses.replace(real_mgf(*a, **kw), violations=(0.1,)),
+        )
+        assert cli.main(argv) == 1
+        assert "[VIOLATIONS]" in capsys.readouterr().out
+
+    def test_mirror_exit_codes(self, tmp_path, monkeypatch, capsys):
+        argv = ["mirror", "--seed", "3", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert "not reached" not in capsys.readouterr().out
+
+        real_mirror = cli.mirror_descent
+        # A one-step horizon stops the run before delta falls below epsilon.
+        monkeypatch.setattr(
+            cli, "mirror_descent",
+            lambda *a, **kw: real_mirror(*a, t_max=kw["step"], **kw),
+        )
+        assert cli.main(argv) == 1
+        assert "t* = not reached" in capsys.readouterr().out
