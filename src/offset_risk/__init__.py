@@ -16,8 +16,6 @@ from .model import (
     draw_sample,
     load_instance,
     load_instance_file,
-    loss_value,
-    predict,
     predict_all,
     replicate_draws,
     rng_stream,
@@ -30,11 +28,9 @@ from .risk import (
     bernstein_check,
     empirical_measure,
     empirical_risk,
-    empirical_sq_norm,
     excess_risk,
     population_minimizer,
     population_risk,
-    population_sq_norm,
 )
 from .estimators import (
     DivergenceError,

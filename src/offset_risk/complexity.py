@@ -20,7 +20,7 @@ per-draw inequalities.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb, log
 
 import numpy as np
@@ -33,10 +33,8 @@ __all__ = [
     "SparseClassSpec",
     "SparseBoundReport",
     "star_hull_sup",
-    "star_hull_sup_rows",
     "offset_complexity_draws",
     "offset_complexity_mc",
-    "expected_empirical_offset_complexity",
     "empirical_offset_complexity",
     "local_sup_stats",
     "phi_from_stats",
@@ -129,14 +127,16 @@ class SparseBoundReport:
 
 def star_hull_sup(
     linear: np.ndarray, quad: np.ndarray
-) -> tuple[int, float, float]:
-    """Exact sup over the star hull of lam*linear[h] - lam^2*quad[h].
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact sup over the star hull of lam*linear[..., h] - lam^2*quad[..., h].
 
-    Returns (h_index, lambda_opt, value); ties go to the lowest h index and
-    the value is always >= 0 because lam = 0 is feasible.
+    Works over the last axis and returns (argmax, lam, value) with that axis
+    dropped: lam = clip(linear / (2 quad), 0, 1), or 1{linear > 0} where
+    quad = 0. Ties go to the lowest h index, and the value is always >= 0
+    because lam = 0 is feasible.
     """
-    linear = np.asarray(linear, dtype=np.float64).ravel()
-    quad = np.asarray(quad, dtype=np.float64).ravel()
+    linear = np.asarray(linear, dtype=np.float64)
+    quad = np.asarray(quad, dtype=np.float64)
     if linear.shape != quad.shape:
         raise ValueError("linear and quadratic coefficient arrays must align")
     if np.any(quad < 0):
@@ -145,16 +145,19 @@ def star_hull_sup(
         lam = np.where(quad > 0, np.clip(linear / (2.0 * quad), 0.0, 1.0), 0.0)
     lam = np.where((quad == 0) & (linear > 0), 1.0, lam)
     values = lam * linear - lam**2 * quad
-    j = int(np.argmax(values))
-    return j, float(lam[j]), float(values[j])
+    j = np.argmax(values, axis=-1)
+    at_j = (*np.indices(j.shape, sparse=True), j)
+    return j, lam[at_j], values[at_j]
 
 
-def star_hull_sup_rows(linear: np.ndarray, quad: np.ndarray) -> np.ndarray:
-    """Row-wise star-hull suprema for (R, k) coefficient arrays."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = np.where(quad > 0, np.clip(linear / (2.0 * quad), 0.0, 1.0), 0.0)
-    lam = np.where((quad == 0) & (linear > 0), 1.0, lam)
-    return np.max(lam * linear - lam**2 * quad, axis=-1)
+def _class_sups(class_spec: FiniteClassSpec, linear: np.ndarray, quad: np.ndarray) -> np.ndarray:
+    """Supremum over the class of linear - quad along the last axis.
+
+    Over the star hull each function h contributes lam*h at its best lam.
+    """
+    if class_spec.star_hull:
+        return star_hull_sup(linear, quad)[2]
+    return np.max(linear - quad, axis=-1)
 
 
 def _per_draw_sups(
@@ -178,11 +181,7 @@ def _per_draw_sups(
     quad = gamma * quad_emp
     if pop_sq is not None:
         quad = quad + gamma * n * pop_sq[None, :]
-    if class_spec.star_hull:
-        sups = star_hull_sup_rows(linear, quad)
-    else:
-        sups = np.max(linear - quad, axis=-1)
-    return sups / n
+    return _class_sups(class_spec, linear, quad) / n
 
 
 def offset_complexity_draws(
@@ -204,11 +203,15 @@ def offset_complexity_draws(
     return _per_draw_sups(class_spec, gamma, idx, signs, pop_sq)
 
 
-def _mc_estimate(values: np.ndarray, gamma: float, kind: str) -> ComplexityEstimate:
+def _std_error(values: np.ndarray) -> float:
     r = values.shape[0]
-    se = float(values.std(ddof=1) / np.sqrt(r)) if r > 1 else 0.0
+    return float(values.std(ddof=1) / np.sqrt(r)) if r > 1 else 0.0
+
+
+def _mc_estimate(values: np.ndarray, gamma: float, kind: str) -> ComplexityEstimate:
     return ComplexityEstimate(
-        value=float(values.mean()), std_error=se, replicates=r, gamma=gamma, kind=kind
+        value=float(values.mean()), std_error=_std_error(values),
+        replicates=values.shape[0], gamma=gamma, kind=kind,
     )
 
 
@@ -228,26 +231,6 @@ def offset_complexity_mc(
     """
     vals = offset_complexity_draws(dist, class_spec, gamma, n, replicates, seed)
     return _mc_estimate(vals, gamma, "offset")
-
-
-def expected_empirical_offset_complexity(
-    dist: DiscreteDistribution,
-    class_spec: FiniteClassSpec,
-    gamma: float,
-    n: int,
-    replicates: int,
-    seed: int,
-) -> ComplexityEstimate:
-    """Outer Monte-Carlo over X-samples of the sample-conditional complexity.
-
-    One sign draw per X draw is an unbiased estimate of the iterated
-    expectation; sharing a seed with :func:`offset_complexity_mc` makes the
-    population-vs-empirical comparison a per-draw domination.
-    """
-    vals = offset_complexity_draws(
-        dist, class_spec, gamma, n, replicates, seed, include_population_term=False
-    )
-    return _mc_estimate(vals, gamma, "empirical_offset")
 
 
 def _exact_sign_patterns(n: int) -> np.ndarray:
@@ -273,36 +256,21 @@ def empirical_offset_complexity(
         raise ValueError("gamma must be nonnegative")
     idx = np.asarray(sample_x, dtype=np.int64).ravel()
     n = idx.size
-    base = class_spec.base
-    h_at = base[:, idx]  # (k, n)
-    quad_emp = gamma * np.sum(h_at**2, axis=1)
     if exact:
         if n > _EXACT_SIGMA_CAP:
             raise ValueError(f"exact sign enumeration is capped at n = {_EXACT_SIGMA_CAP}")
         signs = _exact_sign_patterns(n)  # (2^n, n)
-        linear = signs @ h_at.T  # (2^n, k)
-        quad = np.broadcast_to(quad_emp, linear.shape)
-        if class_spec.star_hull:
-            sups = star_hull_sup_rows(linear, quad)
-        else:
-            sups = np.max(linear - quad, axis=-1)
-        return ComplexityEstimate(
-            value=float(sups.mean() / n),
-            std_error=0.0,
-            replicates=signs.shape[0],
-            gamma=gamma,
-            kind="empirical_offset",
-        )
-    if sigma_replicates < 1:
-        raise ValueError("need at least one sign replicate outside exact mode")
-    _, signs = replicate_draws(seed, "empirical-offset-sigma", sigma_replicates, n, signs=True)
-    linear = signs @ h_at.T
-    quad = np.broadcast_to(quad_emp, linear.shape)
-    if class_spec.star_hull:
-        sups = star_hull_sup_rows(linear, quad)
     else:
-        sups = np.max(linear - quad, axis=-1)
-    return _mc_estimate(sups / n, gamma, "empirical_offset")
+        if sigma_replicates < 1:
+            raise ValueError("need at least one sign replicate outside exact mode")
+        _, signs = replicate_draws(seed, "empirical-offset-sigma", sigma_replicates, n,
+                                   signs=True)
+    h_at = class_spec.base[:, idx]  # (k, n)
+    linear = signs @ h_at.T
+    quad = np.broadcast_to(gamma * np.sum(h_at**2, axis=1), linear.shape)
+    estimate = _mc_estimate(_class_sups(class_spec, linear, quad) / n, gamma,
+                            "empirical_offset")
+    return replace(estimate, std_error=0.0) if exact else estimate
 
 
 def local_sup_stats(
@@ -379,16 +347,11 @@ def local_complexity_fixed_point(
     else:
         raise RuntimeError("failed to bracket the fixed point from above")
     lo = 0.0
-    if phi(max(r_tol * 1e-3, 1e-300)) <= max(r_tol * 1e-3, 1e-300):
+    floor = max(r_tol * 1e-3, 1e-300)
+    degenerate = phi(floor) <= floor
+    if degenerate:
         # Degenerate class: the curve starts below the diagonal.
-        hi = max(r_tol * 1e-3, 1e-300)
-        _, per_draw = phi_from_stats(S, pop_sq, gamma, hi)
-        value = 0.0 if per_draw.max() == 0.0 else hi
-        se = float(per_draw.std(ddof=1) / np.sqrt(mc_replicates)) if mc_replicates > 1 else 0.0
-        return ComplexityEstimate(
-            value=value, std_error=se, replicates=mc_replicates, gamma=gamma,
-            kind="local_fixed_point",
-        )
+        lo = hi = floor
     while hi - lo > r_tol:
         mid = 0.5 * (lo + hi)
         if phi(mid) <= mid:
@@ -396,10 +359,10 @@ def local_complexity_fixed_point(
         else:
             lo = mid
     _, per_draw = phi_from_stats(S, pop_sq, gamma, hi)
-    se = float(per_draw.std(ddof=1) / np.sqrt(mc_replicates)) if mc_replicates > 1 else 0.0
+    value = 0.0 if degenerate and per_draw.max() == 0.0 else float(hi)
     return ComplexityEstimate(
-        value=float(hi),
-        std_error=se,
+        value=value,
+        std_error=_std_error(per_draw),
         replicates=mc_replicates,
         gamma=gamma,
         kind="local_fixed_point",
@@ -523,9 +486,9 @@ def sparse_offset_values(spec: SparseClassSpec, sigmas: np.ndarray) -> np.ndarra
     chunk = max(1, int(2**22 // max(1, basis_rows.shape[0])))
     for lo in range(0, sigmas.shape[0], chunk):
         batch = sigmas[lo : lo + chunk]
-        proj = basis_rows @ batch.T  # (total_rank, B)
-        sq = np.add.reduceat(proj**2, starts, axis=0)  # (n_subsets, B)
-        out[lo : lo + chunk] = np.maximum(sq.max(axis=0), 0.0)
+        proj = batch @ basis_rows.T  # (B, total_rank)
+        sq = np.add.reduceat(proj**2, starts, axis=1)  # (B, n_subsets)
+        out[lo : lo + chunk] = np.maximum(sq.max(axis=1), 0.0)
     return out / (4.0 * spec.gamma)
 
 

@@ -25,7 +25,7 @@ tested one-sidedly against bootstrap confidence bands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,9 +62,9 @@ class MultiplierSetup:
     joint: DiscreteDistribution
     class_spec: FiniteClassSpec
     gamma: float
-    kappa: float = 0.0
-    multiplier_bound: float = 0.0
-    eta: float = 0.0
+    kappa: float = field(init=False)
+    multiplier_bound: float = field(init=False)
+    eta: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.gamma <= 0:
@@ -135,9 +135,10 @@ def multiplier_sup(setup: MultiplierSetup, atom_ids: np.ndarray) -> MultiplierSu
     linear = h_at @ setup.zeta[idx] - n * mean_cross
     quad = setup.gamma * (n * mean_sq + np.sum(h_at**2, axis=1))
     j, lam, value = star_hull_sup(linear, quad)
+    lam = float(lam)
     return MultiplierSupResult(
-        value=value,
-        argmax_index=j,
+        value=float(value),
+        argmax_index=int(j),
         argmax_lam=lam,
         linear_at_max=lam * float(linear[j]),
         quad_at_max=lam**2 * float(quad[j]),
@@ -167,14 +168,8 @@ def simulate_sup_draws(
     zeta_at = setup.zeta[idx]  # (R, n)
     linear = np.einsum("rn,rnk->rk", zeta_at, h_at) - n * mean_cross[None, :]
     quad = setup.gamma * (n * mean_sq[None, :] + np.einsum("rnk,rnk->rk", h_at, h_at))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = np.where(quad > 0, np.clip(linear / (2.0 * quad), 0.0, 1.0), 0.0)
-    lam = np.where((quad == 0) & (linear > 0), 1.0, lam)
-    values = lam * linear - lam**2 * quad
-    best = np.argmax(values, axis=1)
-    rows = np.arange(replicates)
-    sup = values[rows, best]
-    quad_at_max = lam[rows, best] ** 2 * quad[rows, best]
+    best, lam, sup = star_hull_sup(linear, quad)
+    quad_at_max = lam**2 * quad[np.arange(replicates), best]
     return sup, quad_at_max
 
 

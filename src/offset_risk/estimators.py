@@ -303,7 +303,7 @@ def _entropy_bregman(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(terms - a + b))
 
 
-_MIRROR_MAPS = {
+MIRROR_MAPS = {
     "euclidean": (_euclidean_to_dual, _euclidean_from_dual, _euclidean_bregman),
     "negative_entropy": (_entropy_to_dual, _entropy_from_dual, _entropy_bregman),
 }
@@ -346,9 +346,9 @@ def mirror_descent(
         raise ValueError("step must be positive")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if mirror_map not in _MIRROR_MAPS:
+    if mirror_map not in MIRROR_MAPS:
         raise ValueError(f"unknown mirror map {mirror_map!r}")
-    to_dual, from_dual, bregman = _MIRROR_MAPS[mirror_map]
+    to_dual, from_dual, bregman = MIRROR_MAPS[mirror_map]
     sample.validate_for(dist)
     X = dist.xs[sample.indices]
     y = dist.ys[sample.indices]
@@ -393,6 +393,7 @@ def mirror_descent(
             return t_max
         return 2.0 * (d0 + excess) / epsilon + step
 
+    diverged = False
     while t_star is None and t < horizon():
         g = grad_risk(w)
         theta = theta - step * g
@@ -408,19 +409,8 @@ def mirror_descent(
         excess += max(0.0, step_excess) if np.isfinite(step_excess) else np.inf
         w = w_new
         if not np.all(np.isfinite(w)) or np.linalg.norm(w) > scale_guard:
-            trace = MirrorDescentTrace(
-                mirror_map=mirror_map,
-                w_path=w_path,
-                delta_path=delta_path,
-                bregman_path=bregman_path,
-                t_star=None,
-                bregman_initial=d0,
-                epsilon=epsilon,
-                step=step,
-                euler_excess=float(excess),
-                offset=None,
-            )
-            raise DivergenceError("mirror descent iterates diverged", trace)
+            diverged = True
+            break
         w_path.append((t, w.copy()))
         d_now = gap(w)
         delta_path.append((t, d_now))
@@ -433,7 +423,7 @@ def mirror_descent(
         risk_gap = risk(w_stop) - risk_ref
         quadratic = float(np.mean((X @ (w_stop - w_star)) ** 2))
         offset = offset_report_from_values(risk_gap, quadratic, 0.5 * curve, epsilon)
-    return MirrorDescentTrace(
+    trace = MirrorDescentTrace(
         mirror_map=mirror_map,
         w_path=w_path,
         delta_path=delta_path,
@@ -445,3 +435,6 @@ def mirror_descent(
         euler_excess=float(excess),
         offset=offset,
     )
+    if diverged:
+        raise DivergenceError("mirror descent iterates diverged", trace)
+    return trace

@@ -18,12 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..estimators import midpoint, star
+from ..estimators import erm, midpoint, star
 from ..model import (
     Dictionary,
     DiscreteDistribution,
     LossSpec,
-    PredictorWeights,
     Sample,
     replicate_draws,
     squared_loss,
@@ -96,19 +95,15 @@ def _fit_excess(
     c1: float,
     gstar_risk: float,
 ) -> float:
-    if estimator == "star":
-        weights = star(sample, dist, loss, dictionary).weights
+    if estimator == "erm":
+        values = dictionary.values[erm(sample, dist, loss, dictionary)]
+    elif estimator == "star":
+        values = star(sample, dist, loss, dictionary).weights.weights @ dictionary.values
     elif estimator == "midpoint":
-        weights = midpoint(sample, dist, loss, dictionary, delta=delta, c1=c1).weights
-    elif estimator == "erm":
-        from ..estimators import erm as erm_fit
-
-        w = np.zeros(dictionary.m)
-        w[erm_fit(sample, dist, loss, dictionary)] = 1.0
-        weights = PredictorWeights(weights=w)
+        fit = midpoint(sample, dist, loss, dictionary, delta=delta, c1=c1)
+        values = fit.weights.weights @ dictionary.values
     else:
         raise ValueError(f"unknown estimator {estimator!r}")
-    values = weights.weights @ dictionary.values
     return population_risk_of_values(dist, loss, values) - gstar_risk
 
 
@@ -130,6 +125,8 @@ def run_aggregate(
         )
 
     rows = []
+    summary = []
+    points = []
     for n in config.n_grid:
         idx, _ = replicate_draws(
             config.seed, f"aggregate-{config.estimator}-n{n}", config.replicates, n, dist
@@ -140,11 +137,7 @@ def run_aggregate(
         else:
             excesses = [fit_cell(row) for row in idx]
         rows.extend((n, rep, ex) for rep, ex in enumerate(excesses))
-
-    summary = []
-    points = []
-    for n in config.n_grid:
-        vals = np.array([ex for (cn, _, ex) in rows if cn == n])
+        vals = np.array(excesses)
         q = float(np.quantile(vals, 1.0 - config.delta))
         summary.append(
             {

@@ -8,13 +8,27 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..estimators import MIRROR_MAPS
 from ..instances import rate_study_instance
 from ..model import Dictionary, DiscreteDistribution, load_instance, load_instance_file
 
-__all__ = ["ExperimentConfig", "config_hash", "resolve_instance"]
+__all__ = ["CHECK_IDS", "ExperimentConfig", "config_hash", "resolve_instance"]
 
 _COMMANDS = ("aggregate", "complexity", "concentration", "mirror", "verify")
 _ESTIMATORS = ("erm", "star", "midpoint")
+# The verify checks, in run order; verify looks up check_<id> for each.
+CHECK_IDS = (
+    "star_offset",
+    "self_localization",
+    "offset_vs_local",
+    "sparse_identity",
+    "sparse_shape",
+    "mgf_bound",
+    "tail_bound",
+    "aggregation_rate",
+    "mirror_descent",
+    "duality",
+)
 
 
 @dataclass(frozen=True)
@@ -48,10 +62,23 @@ class ExperimentConfig:
             raise ValueError("replicates must be at least 1")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie strictly between 0 and 1")
+        if self.gamma is not None and not self.gamma > 0:
+            raise ValueError("gamma must be positive when set")
+        for name in ("epsilon", "step", "c1"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if self.mirror_map not in MIRROR_MAPS:
+            raise ValueError(
+                f"unknown mirror map {self.mirror_map!r}; expected one of {tuple(MIRROR_MAPS)}"
+            )
         if isinstance(self.instance, str) and not Path(self.instance).exists():
             raise ValueError(f"instance file {self.instance!r} does not exist")
         if self.checks is not None:
-            object.__setattr__(self, "checks", tuple(self.checks))
+            checks = tuple(self.checks)
+            unknown = set(checks) - set(CHECK_IDS)
+            if unknown:
+                raise ValueError(f"unknown check ids: {sorted(unknown)}")
+            object.__setattr__(self, "checks", checks)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":

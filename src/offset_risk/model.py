@@ -32,9 +32,7 @@ __all__ = [
     "replicate_draws",
     "draw_atom_ids",
     "draw_sample",
-    "predict",
     "predict_all",
-    "loss_value",
     "load_instance",
     "load_instance_file",
 ]
@@ -152,7 +150,7 @@ class Sample:
     """Indices of atoms drawn from an owning DiscreteDistribution."""
 
     indices: np.ndarray
-    n: int = 0
+    n: int = field(init=False)
 
     def __post_init__(self) -> None:
         idx = np.asarray(self.indices, dtype=np.int64).ravel()
@@ -177,7 +175,7 @@ class Dictionary:
 
     values: np.ndarray
     b: float
-    m: int = 0
+    m: int = field(init=False)
 
     def __post_init__(self) -> None:
         vals = np.atleast_2d(np.asarray(self.values, dtype=np.float64))
@@ -271,7 +269,7 @@ class PredictorWeights:
     """Linear combination of dictionary rows; tracks its own sparsity."""
 
     weights: np.ndarray
-    sparsity: int = 0
+    sparsity: int = field(init=False)
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=np.float64).ravel()
@@ -404,18 +402,6 @@ def draw_sample(dist: DiscreteDistribution, n: int, seed: int) -> Sample:
     return Sample(indices=draw_atom_ids(dist, n, rng))
 
 
-def predict(dictionary: Dictionary, w: PredictorWeights, atom_id: int) -> float:
-    """Value of the weighted combination at one atom."""
-    if w.weights.shape[0] != dictionary.m:
-        raise ValueError(
-            f"weight vector has length {w.weights.shape[0]} "
-            f"but the dictionary has {dictionary.m} functions"
-        )
-    if atom_id < 0 or atom_id >= dictionary.values.shape[1]:
-        raise ValueError("atom id outside the evaluation table")
-    return float(w.weights @ dictionary.values[:, atom_id])
-
-
 def predict_all(dictionary: Dictionary, w: PredictorWeights) -> np.ndarray:
     """Values of the weighted combination at every atom, as a length-s array."""
     if w.weights.shape[0] != dictionary.m:
@@ -424,11 +410,6 @@ def predict_all(dictionary: Dictionary, w: PredictorWeights) -> np.ndarray:
             f"but the dictionary has {dictionary.m} functions"
         )
     return w.weights @ dictionary.values
-
-
-def loss_value(spec: LossSpec, yhat: float, y: float) -> float:
-    """Pointwise loss; not range-checked (iterative schemes may leave [-b, b])."""
-    return float(spec.eval(np.float64(yhat), np.float64(y)))
 
 
 def load_instance(doc: dict) -> tuple[DiscreteDistribution, Dictionary]:

@@ -33,8 +33,6 @@ __all__ = [
     "empirical_risk_of_values",
     "population_minimizer",
     "excess_risk",
-    "empirical_sq_norm",
-    "population_sq_norm",
     "empirical_measure",
     "bernstein_check",
 ]
@@ -145,23 +143,6 @@ def excess_risk(
     """
     ref = population_minimizer(dist, loss, dictionary)
     return population_risk(dist, loss, dictionary, predictor).value - ref.gstar_risk
-
-
-def empirical_sq_norm(sample: Sample, dist: DiscreteDistribution, h: np.ndarray) -> float:
-    """Averaged empirical square norm (1/n) sum h(X_i)^2 of an atom-indexed h."""
-    sample.validate_for(dist)
-    h = np.asarray(h, dtype=np.float64)
-    if h.shape[0] != dist.size:
-        raise ValueError("h must be indexed by the support atoms")
-    return float(np.mean(h[sample.indices] ** 2))
-
-
-def population_sq_norm(dist: DiscreteDistribution, h: np.ndarray) -> float:
-    """Exact population square norm E[h(X)^2] of an atom-indexed h."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.shape[0] != dist.size:
-        raise ValueError("h must be indexed by the support atoms")
-    return float((h**2) @ dist.probs)
 
 
 def empirical_measure(sample: Sample, dist: DiscreteDistribution) -> DiscreteDistribution:

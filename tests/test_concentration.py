@@ -68,6 +68,13 @@ class TestMultiplierSup:
         assert setup.multiplier_bound == 1.5
         assert setup.eta == pytest.approx(8 * (1.5**2 / 0.4 + 0.4 * 0.25), rel=1e-12)
 
+    @pytest.mark.parametrize("field", ["kappa", "multiplier_bound", "eta"])
+    def test_scale_constants_are_not_constructor_arguments(self, field):
+        setup = make_setup([1.0, -1.0], [0.5, 0.5], np.array([[0.5, -0.25]]), gamma=0.4)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            MultiplierSetup(joint=setup.joint, class_spec=setup.class_spec, gamma=0.4,
+                            **{field: 1.0})
+
     def test_eta_grows_when_gamma_shrinks_in_multiplier_dominant_regime(self):
         base = np.array([[0.1, -0.1]])
         s1 = make_setup([2.0, -2.0], [0.5, 0.5], base, gamma=0.5)

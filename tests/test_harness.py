@@ -46,6 +46,37 @@ class TestConfig:
         with pytest.raises(ValueError, match="does not exist"):
             ExperimentConfig(instance="/nonexistent/path.json")
 
+    @pytest.mark.parametrize("gamma", [0.0, -0.5, float("nan")])
+    def test_nonpositive_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            ExperimentConfig(gamma=gamma)
+        assert ExperimentConfig(gamma=None).gamma is None
+
+    @pytest.mark.parametrize("value", [0.0, -1e-3])
+    def test_nonpositive_epsilon_rejected(self, value):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            ExperimentConfig(epsilon=value)
+
+    @pytest.mark.parametrize("value", [0.0, -1e-3])
+    def test_nonpositive_step_rejected(self, value):
+        with pytest.raises(ValueError, match="step must be positive"):
+            ExperimentConfig(step=value)
+
+    @pytest.mark.parametrize("value", [0.0, -4.0])
+    def test_nonpositive_c1_rejected(self, value):
+        with pytest.raises(ValueError, match="c1 must be positive"):
+            ExperimentConfig(c1=value)
+
+    def test_unknown_mirror_map_rejected(self):
+        with pytest.raises(ValueError, match="unknown mirror map 'hyperbolic'"):
+            ExperimentConfig(mirror_map="hyperbolic")
+        assert ExperimentConfig(mirror_map="negative_entropy").mirror_map == "negative_entropy"
+
+    def test_unknown_check_ids_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown check ids: \['nonsense'\]"):
+            ExperimentConfig.from_dict({"checks": ["duality", "nonsense"]})
+        assert ExperimentConfig(checks=["duality"]).checks == ("duality",)
+
     def test_hash_sensitivity(self):
         a = ExperimentConfig(seed=1)
         b = ExperimentConfig(seed=2)
@@ -260,6 +291,16 @@ class TestCli:
         }))
         res = self.run_cli("aggregate", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert res.returncode == 0, res.stderr
+
+    @pytest.mark.parametrize("doc", [{"gamma": 0}, {"epsilon": -1}, {"step": 0},
+                                     {"c1": 0}, {"mirror_map": "hyperbolic"},
+                                     {"checks": ["nonsense"]}])
+    def test_bad_config_exits_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "verify_manifest.json").exists()
 
     def test_bad_format_rejected(self, tmp_path):
         res = self.run_cli("aggregate", "--format", "pdf", "--out", str(tmp_path))

@@ -10,10 +10,9 @@ from offset_risk.model import (
     Dictionary,
     LossSpec,
     PredictorWeights,
+    Sample,
     draw_sample,
     load_instance,
-    loss_value,
-    predict,
     predict_all,
     rng_stream,
     squared_loss,
@@ -87,25 +86,33 @@ class TestPredict:
 
     def test_unit_vector_recovers_row(self):
         w = PredictorWeights(weights=[1.0, 0.0])
-        assert predict(self.dictionary, w, 0) == 1.0
-        assert predict(self.dictionary, w, 1) == -1.0
+        assert predict_all(self.dictionary, w).tolist() == [1.0, -1.0]
 
     def test_zero_weights(self):
         w = PredictorWeights(weights=[0.0, 0.0])
-        assert predict(self.dictionary, w, 0) == 0.0
+        assert predict_all(self.dictionary, w)[0] == 0.0
         assert w.sparsity == 0
 
     def test_symmetric_mixture_cancels(self):
         w = PredictorWeights(weights=[0.5, 0.5])
-        assert predict(self.dictionary, w, 0) == 0.0
+        assert predict_all(self.dictionary, w)[0] == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="length"):
-            predict(self.dictionary, PredictorWeights(weights=[1.0]), 0)
+            predict_all(self.dictionary, PredictorWeights(weights=[1.0]))
 
     def test_sparsity_is_recomputed(self):
         w = PredictorWeights(weights=[0.0, 2.0])
         assert w.sparsity == 1
+
+    @pytest.mark.parametrize("build", [
+        lambda: Sample(indices=[0, 1], n=5),
+        lambda: Dictionary(values=[[0.5, -0.5]], b=1.0, m=3),
+        lambda: PredictorWeights(weights=[0.0, 2.0], sparsity=2),
+    ])
+    def test_derived_fields_are_not_constructor_arguments(self, build):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            build()
 
     def test_two_sparse_convex_combination_bounded(self):
         rng = np.random.default_rng(7)
@@ -124,8 +131,8 @@ class TestPredict:
 class TestLoss:
     def test_squared_values(self):
         loss = squared_loss(1.0)
-        assert loss_value(loss, 1.0, 0.5) == pytest.approx(0.25, abs=1e-15)
-        assert loss_value(loss, 0.3, 0.3) == 0.0
+        assert loss.eval(1.0, 0.5) == pytest.approx(0.25, abs=1e-15)
+        assert loss.eval(0.3, 0.3) == 0.0
 
     def test_squared_constants(self):
         loss = squared_loss(1.0)
@@ -148,10 +155,10 @@ class TestLoss:
             for y1 in grid:
                 for y2 in grid:
                     for lam in lams:
-                        lhs = loss_value(loss, lam * y1 + (1 - lam) * y2, y)
+                        lhs = loss.eval(lam * y1 + (1 - lam) * y2, y)
                         rhs = (
-                            lam * loss_value(loss, y1, y)
-                            + (1 - lam) * loss_value(loss, y2, y)
+                            lam * loss.eval(y1, y)
+                            + (1 - lam) * loss.eval(y2, y)
                             - 0.5 * loss.strong_convexity * lam * (1 - lam) * (y1 - y2) ** 2
                         )
                         assert lhs <= rhs + 1e-12

@@ -14,11 +14,9 @@ from offset_risk.risk import (
     bernstein_check,
     empirical_measure,
     empirical_risk,
-    empirical_sq_norm,
     excess_risk,
     population_minimizer,
     population_risk,
-    population_sq_norm,
 )
 
 LOSS = squared_loss(1.0)
@@ -145,31 +143,6 @@ class TestExcessRisk:
             for w in ([1.0, 0.0], [0.0, 1.0])
         ]
         assert min(rows) == 0.0
-
-
-class TestSquareNorms:
-    def setup_method(self):
-        self.dist = DiscreteDistribution(
-            xs=[[0.0], [1.0], [2.0]], ys=[0.0, 0.0, 0.0], probs=[0.25, 0.5, 0.25], b=1.0
-        )
-
-    def test_zero_function(self):
-        h = np.zeros(3)
-        assert population_sq_norm(self.dist, h) == 0.0
-        assert empirical_sq_norm(Sample(indices=[0, 1]), self.dist, h) == 0.0
-
-    def test_constant_function(self):
-        h = np.full(3, 0.7)
-        assert population_sq_norm(self.dist, h) == pytest.approx(0.49, abs=1e-15)
-        assert empirical_sq_norm(Sample(indices=[2, 0]), self.dist, h) == pytest.approx(
-            0.49, abs=1e-15
-        )
-
-    def test_prob_proportional_sample_matches_population(self):
-        rng = np.random.default_rng(3)
-        h = rng.normal(size=3)
-        emp = empirical_sq_norm(Sample(indices=[0, 1, 1, 2]), self.dist, h)
-        assert emp == pytest.approx(population_sq_norm(self.dist, h), abs=1e-12)
 
 
 class TestBernsteinCheck:
