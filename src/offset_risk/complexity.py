@@ -160,6 +160,22 @@ def _class_sups(class_spec: FiniteClassSpec, linear: np.ndarray, quad: np.ndarra
     return np.max(linear - quad, axis=-1)
 
 
+def _draw_moments(
+    base: np.ndarray, idx: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(R, k) sums sum_i w[r, i] h(X_ri) and sum_i h(X_ri)^2 over (R, n) atom ids.
+
+    A row's sums depend on its draws only through its per-atom counts and
+    weighted counts: two bincounts over the rows offset by s, so memory is
+    O(R s), not the O(R n k) of a gather. Ids must lie in [0, s).
+    """
+    rows, s = idx.shape[0], base.shape[1]
+    flat = (idx + np.arange(0, rows * s, s)[:, None]).ravel()
+    counts = np.bincount(flat, minlength=rows * s).reshape(rows, s)
+    weighted = np.bincount(flat, weights=weights.ravel(), minlength=rows * s).reshape(rows, s)
+    return weighted @ base.T, counts @ (base**2).T
+
+
 def _per_draw_sups(
     class_spec: FiniteClassSpec,
     gamma: float,
@@ -173,11 +189,8 @@ def _per_draw_sups(
     (1/n) sup_h sum_i [s_i h(X_i) - gamma h(X_i)^2 - gamma E h^2]; without it
     the population penalty is omitted (the sample-conditional variant).
     """
-    base = class_spec.base
     n = idx.shape[1]
-    h_at = base.T[idx]  # (R, n, k)
-    linear = np.einsum("rn,rnk->rk", signs, h_at)
-    quad_emp = np.einsum("rnk,rnk->rk", h_at, h_at)
+    linear, quad_emp = _draw_moments(class_spec.base, idx, signs)
     quad = gamma * quad_emp
     if pop_sq is not None:
         quad = quad + gamma * n * pop_sq[None, :]
@@ -289,8 +302,7 @@ def local_sup_stats(
     if class_spec.base.shape[1] != dist.size:
         raise ValueError("class value tables must match the support size")
     idx, signs = replicate_draws(seed, "local-complexity", replicates, n, dist, signs=True)
-    h_at = class_spec.base.T[idx]  # (R, n, k)
-    S = np.einsum("rn,rnk->rk", signs, h_at) / n
+    S = _draw_moments(class_spec.base, idx, signs)[0] / n
     pop_sq = (class_spec.base**2) @ dist.probs
     return S, pop_sq
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexity import FiniteClassSpec, star_hull_sup
+from .complexity import FiniteClassSpec, _draw_moments, star_hull_sup
 from .model import DiscreteDistribution, replicate_draws, rng_stream
 
 __all__ = [
@@ -118,30 +118,29 @@ class TailReport:
     holds: bool
 
 
-def _coefficient_tables(setup: MultiplierSetup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-function atomwise products and exact population terms."""
-    base = setup.class_spec.base
-    mean_cross = (base * setup.zeta[None, :]) @ setup.joint.probs  # E[zeta h]
-    mean_sq = (base**2) @ setup.joint.probs  # E[h^2]
-    return base, mean_cross, mean_sq
+def _sup_kernel(setup: MultiplierSetup, idx: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(argmax, lam, U) per row of (R, n) atom ids, then the (R, k) tables A and B."""
+    base, probs = setup.class_spec.base, setup.joint.probs
+    n = idx.shape[1]
+    mean_cross = (base * setup.zeta[None, :]) @ probs  # E[zeta h]
+    mean_sq = (base**2) @ probs  # E[h^2]
+    cross, quad_emp = _draw_moments(base, idx, setup.zeta[idx])
+    linear = cross - n * mean_cross[None, :]
+    quad = setup.gamma * (n * mean_sq[None, :] + quad_emp)
+    return (*star_hull_sup(linear, quad), linear, quad)
 
 
 def multiplier_sup(setup: MultiplierSetup, atom_ids: np.ndarray) -> MultiplierSupResult:
-    """Exact supremum of the offset multiplier process on one sample."""
-    idx = np.asarray(atom_ids, dtype=np.int64).ravel()
-    base, mean_cross, mean_sq = _coefficient_tables(setup)
-    n = idx.size
-    h_at = base[:, idx]  # (k, n)
-    linear = h_at @ setup.zeta[idx] - n * mean_cross
-    quad = setup.gamma * (n * mean_sq + np.sum(h_at**2, axis=1))
-    j, lam, value = star_hull_sup(linear, quad)
-    lam = float(lam)
+    """Exact supremum on one sample: the one-row case of the simulate_sup_draws kernel."""
+    idx = np.asarray(atom_ids, dtype=np.int64).reshape(1, -1)
+    best, lam, value, linear, quad = _sup_kernel(setup, idx)
+    j, lam = int(best[0]), float(lam[0])
     return MultiplierSupResult(
-        value=float(value),
-        argmax_index=int(j),
+        value=float(value[0]),
+        argmax_index=j,
         argmax_lam=lam,
-        linear_at_max=lam * float(linear[j]),
-        quad_at_max=lam**2 * float(quad[j]),
+        linear_at_max=lam * float(linear[0, j]),
+        quad_at_max=lam**2 * float(quad[0, j]),
     )
 
 
@@ -163,14 +162,8 @@ def simulate_sup_draws(
     batching and execution order.
     """
     idx, _ = replicate_draws(seed, "multiplier-sample", replicates, n, setup.joint)
-    base, mean_cross, mean_sq = _coefficient_tables(setup)
-    h_at = base.T[idx]  # (R, n, k)
-    zeta_at = setup.zeta[idx]  # (R, n)
-    linear = np.einsum("rn,rnk->rk", zeta_at, h_at) - n * mean_cross[None, :]
-    quad = setup.gamma * (n * mean_sq[None, :] + np.einsum("rnk,rnk->rk", h_at, h_at))
-    best, lam, sup = star_hull_sup(linear, quad)
-    quad_at_max = lam**2 * quad[np.arange(replicates), best]
-    return sup, quad_at_max
+    best, lam, sup, _, quad = _sup_kernel(setup, idx)
+    return sup, lam**2 * quad[np.arange(replicates), best]
 
 
 def _bootstrap_log_mgf(

@@ -106,13 +106,20 @@ def _sampled_values(
     return dictionary.values[:, idx], dist.ys[idx]
 
 
+def _empirical_risks(
+    sample: Sample, dist: DiscreteDistribution, loss: LossSpec, dictionary: Dictionary
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Sampled values, labels, per-row empirical risks and their argmin (first on ties)."""
+    vals_at, y_at = _sampled_values(sample, dist, dictionary)
+    risks = loss.eval(vals_at, y_at[None, :]).mean(axis=1)
+    return vals_at, y_at, risks, int(np.argmin(risks))
+
+
 def erm(
     sample: Sample, dist: DiscreteDistribution, loss: LossSpec, dictionary: Dictionary
 ) -> int:
     """Index of the dictionary row with smallest empirical risk (first on ties)."""
-    vals_at, y_at = _sampled_values(sample, dist, dictionary)
-    risks = loss.eval(vals_at, y_at[None, :]).mean(axis=1)
-    return int(np.argmin(risks))
+    return _empirical_risks(sample, dist, loss, dictionary)[3]
 
 
 def _ternary_lambda(
@@ -143,10 +150,8 @@ def star(
     go to the lowest partner index. The partner f = e is always feasible
     (canonical lam = 1 there), so the result never does worse than e.
     """
-    vals_at, y_at = _sampled_values(sample, dist, dictionary)
-    m, n = vals_at.shape
-    risks = loss.eval(vals_at, y_at[None, :]).mean(axis=1)
-    e = int(np.argmin(risks))
+    vals_at, y_at, risks, e = _empirical_risks(sample, dist, loss, dictionary)
+    m = vals_at.shape[0]
     if loss.kind == "squared":
         seg = vals_at[e][None, :] - vals_at  # g_e - g_f at the sample
         resid = vals_at - y_at[None, :]
@@ -207,10 +212,8 @@ def midpoint(
         raise ValueError("delta must lie strictly between 0 and 1")
     if c1 <= 0:
         raise ValueError("c1 must be positive")
-    vals_at, y_at = _sampled_values(sample, dist, dictionary)
+    vals_at, y_at, risks, e = _empirical_risks(sample, dist, loss, dictionary)
     m, n = vals_at.shape
-    risks = loss.eval(vals_at, y_at[None, :]).mean(axis=1)
-    e = int(np.argmin(risks))
     log_term = np.log(2.0 * m / delta)
     sq_dist = np.mean((vals_at - vals_at[e][None, :]) ** 2, axis=1)
     d_emp = np.sqrt(sq_dist * log_term / n) + dictionary.b * log_term / n

@@ -5,15 +5,10 @@ the configured estimator, and record the exact excess risk. The per-n readout
 is the empirical (1 - delta)-quantile (the natural statistic for a deviation
 claim), alongside mean and median; a log-log least-squares line through the
 quantile column summarizes the decay rate.
-
-Cells are keyed by (seed, estimator, n, replicate), so the study can fan out
-across threads (capped by OFFSET_RISK_THREADS) without affecting any number.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +25,7 @@ from ..model import (
 from ..risk import population_minimizer, population_risk_of_values
 from .config import ExperimentConfig, resolve_instance
 
-__all__ = ["RateFit", "AggregateStudy", "fit_rate", "run_aggregate", "worker_count"]
+__all__ = ["RateFit", "AggregateStudy", "fit_rate", "run_aggregate"]
 
 
 @dataclass(frozen=True)
@@ -73,37 +68,21 @@ def fit_rate(points: list[tuple[int, float]]) -> RateFit:
     )
 
 
-def worker_count() -> int:
-    """Worker threads for the aggregate study, from OFFSET_RISK_THREADS (default 1)."""
-    raw = os.environ.get("OFFSET_RISK_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"OFFSET_RISK_THREADS must be an integer >= 1, got {raw!r}")
-    return workers
-
-
 def _fit_excess(
-    estimator: str,
+    config: ExperimentConfig,
     dist: DiscreteDistribution,
     dictionary: Dictionary,
     loss: LossSpec,
     sample: Sample,
-    delta: float,
-    c1: float,
     gstar_risk: float,
 ) -> float:
-    if estimator == "erm":
+    if config.estimator == "erm":
         values = dictionary.values[erm(sample, dist, loss, dictionary)]
-    elif estimator == "star":
+    elif config.estimator == "star":
         values = star(sample, dist, loss, dictionary).weights.weights @ dictionary.values
-    elif estimator == "midpoint":
-        fit = midpoint(sample, dist, loss, dictionary, delta=delta, c1=c1)
+    else:  # midpoint; the config admits no other estimator
+        fit = midpoint(sample, dist, loss, dictionary, delta=config.delta, c1=config.c1)
         values = fit.weights.weights @ dictionary.values
-    else:
-        raise ValueError(f"unknown estimator {estimator!r}")
     return population_risk_of_values(dist, loss, values) - gstar_risk
 
 
@@ -116,13 +95,6 @@ def run_aggregate(
         dist, dictionary = resolve_instance(config)
     loss = squared_loss(dist.b)
     gstar_risk = population_minimizer(dist, loss, dictionary).gstar_risk
-    workers = worker_count()
-
-    def fit_cell(indices: np.ndarray) -> float:
-        return _fit_excess(
-            config.estimator, dist, dictionary, loss, Sample(indices=indices),
-            config.delta, config.c1, gstar_risk,
-        )
 
     rows = []
     summary = []
@@ -131,11 +103,10 @@ def run_aggregate(
         idx, _ = replicate_draws(
             config.seed, f"aggregate-{config.estimator}-n{n}", config.replicates, n, dist
         )
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                excesses = list(pool.map(fit_cell, idx))
-        else:
-            excesses = [fit_cell(row) for row in idx]
+        excesses = [
+            _fit_excess(config, dist, dictionary, loss, Sample(indices=row), gstar_risk)
+            for row in idx
+        ]
         rows.extend((n, rep, ex) for rep, ex in enumerate(excesses))
         vals = np.array(excesses)
         q = float(np.quantile(vals, 1.0 - config.delta))

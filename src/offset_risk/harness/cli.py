@@ -10,8 +10,7 @@ mirror         early-stopped mirror descent trace on the instance features;
                exit code 1 when the stopping time t* is not reached
 verify         full verification suite; exit code 0 iff every check passes
 
-All outputs embed the config hash and master seed. Worker fan-out for the
-aggregate study is capped by the OFFSET_RISK_THREADS environment variable.
+All outputs embed the config hash and master seed.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,6 +32,11 @@ CHECK_IDS = (
 )
 
 
+def _is_a(value, kind) -> bool:
+    """isinstance for loaded JSON values, where a bool is not a number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     command: str = "verify"
@@ -52,9 +58,22 @@ class ExperimentConfig:
             raise ValueError(f"unknown command {self.command!r}; expected one of {_COMMANDS}")
         if self.estimator not in _ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
-        grid = tuple(int(n) for n in self.n_grid)
-        if len(grid) == 0:
+        for name in ("seed", "replicates"):
+            if not _is_a(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("gamma", "delta", "epsilon", "c1", "step"):
+            value = getattr(self, name)
+            if not (_is_a(value, numbers.Real) or name == "gamma" and value is None):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        for name in ("n_grid", "checks"):
+            value = getattr(self, name)
+            if not (isinstance(value, (list, tuple)) or name == "checks" and value is None):
+                raise ValueError(f"{name} must be a list, got {value!r}")
+        if len(self.n_grid) == 0:
             raise ValueError("n_grid must be nonempty")
+        if not all(_is_a(n, numbers.Integral) for n in self.n_grid):
+            raise ValueError(f"n_grid must hold integers, got {self.n_grid!r}")
+        grid = tuple(int(n) for n in self.n_grid)
         if any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
             raise ValueError("n_grid must be strictly increasing and positive")
         object.__setattr__(self, "n_grid", grid)
@@ -67,7 +86,7 @@ class ExperimentConfig:
         for name in ("epsilon", "step", "c1"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.mirror_map not in MIRROR_MAPS:
+        if not isinstance(self.mirror_map, str) or self.mirror_map not in MIRROR_MAPS:
             raise ValueError(
                 f"unknown mirror map {self.mirror_map!r}; expected one of {tuple(MIRROR_MAPS)}"
             )
@@ -75,9 +94,9 @@ class ExperimentConfig:
             raise ValueError(f"instance file {self.instance!r} does not exist")
         if self.checks is not None:
             checks = tuple(self.checks)
-            unknown = set(checks) - set(CHECK_IDS)
+            unknown = [c for c in checks if c not in CHECK_IDS]
             if unknown:
-                raise ValueError(f"unknown check ids: {sorted(unknown)}")
+                raise ValueError(f"unknown check ids: {sorted(unknown, key=str)}")
             object.__setattr__(self, "checks", checks)
 
     @classmethod

@@ -1,6 +1,7 @@
 """Complexity estimators against exhaustive-enumeration and dense oracles."""
 
 import itertools
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -26,7 +27,7 @@ from offset_risk.complexity import (
     subset_family,
 )
 from offset_risk.instances import random_star_class
-from offset_risk.model import DiscreteDistribution
+from offset_risk.model import DiscreteDistribution, replicate_draws
 
 
 def uniform_dist(s):
@@ -60,6 +61,86 @@ def coefficient_rows(draw):
                                         unique=True)))
         linear[:, dst], quad[:, dst] = linear[:, src], quad[:, src]
     return linear, quad
+
+
+def gather_moments(base, idx, weights):
+    """Reference for complexity._draw_moments: gather h at every draw, then sum."""
+    h_at = base.T[idx]  # (R, n, k)
+    return np.einsum("rn,rnk->rk", weights, h_at), np.einsum("rnk,rnk->rk", h_at, h_at)
+
+
+@st.composite
+def draw_tables(draw):
+    """Value tables, (R, n) atom ids over a subset of the atoms, and per-draw weights.
+
+    Atoms outside the drawable subset play the zero-probability atoms; with
+    few draws, some drawable atoms are never drawn either. Weights are
+    either random signs or a per-atom multiplier zeta read at the draws.
+    """
+    s, k = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    rows, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    values = st.floats(-3.0, 3.0)
+    base = np.array(draw(st.lists(values, min_size=k * s, max_size=k * s))).reshape(k, s)
+    live = draw(st.lists(st.integers(0, s - 1), min_size=1, max_size=s, unique=True))
+    idx = np.array(draw(st.lists(st.sampled_from(live), min_size=rows * n,
+                                 max_size=rows * n))).reshape(rows, n)
+    if draw(st.booleans()):
+        weights = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=rows * n,
+                                         max_size=rows * n))).reshape(rows, n)
+    else:
+        zeta = np.array(draw(st.lists(st.floats(-1.5, 1.5), min_size=s, max_size=s)))
+        weights = zeta[idx]
+    return base, idx, weights
+
+
+class TestDrawMoments:
+    @settings(max_examples=200, deadline=None)
+    @given(draw_tables())
+    def test_counts_match_the_gather(self, tables):
+        base, idx, weights = tables
+        linear, quad = complexity._draw_moments(base, idx, weights)
+        ref_linear, ref_quad = gather_moments(base, idx, weights)
+        assert linear.shape == quad.shape == (idx.shape[0], base.shape[0])
+        scale = idx.shape[1] * max(1.0, np.abs(base).max()) ** 2
+        np.testing.assert_allclose(linear, ref_linear, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(quad, ref_quad, rtol=1e-12, atol=1e-12 * scale)
+
+    def test_single_draw_is_exact(self):
+        base = np.array([[0.5, -2.0, 3.0]])
+        linear, quad = complexity._draw_moments(base, np.array([[1]]), np.array([[-1.0]]))
+        assert (linear.tolist(), quad.tolist()) == ([[2.0]], [[4.0]])
+
+    def test_zero_probability_atoms_through_the_estimators(self):
+        dist = DiscreteDistribution(xs=np.arange(5.0)[:, None], ys=np.zeros(5),
+                                    probs=[0.5, 0.0, 0.3, 0.0, 0.2], b=1.0)
+        spec = FiniteClassSpec(base=np.random.default_rng(1).uniform(-1, 1, (3, 5)))
+        n, reps, gamma = 9, 400, 0.6
+        idx, signs = replicate_draws(4, "offset-complexity", reps, n, dist, signs=True)
+        linear, quad_emp = gather_moments(spec.base, idx, signs)
+        pop_sq = (spec.base**2) @ dist.probs
+        ref = star_hull_sup(linear, gamma * quad_emp + gamma * n * pop_sq)[2] / n
+        got = offset_complexity_draws(dist, spec, gamma, n, reps, seed=4)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14)
+        idx, signs = replicate_draws(4, "local-complexity", reps, n, dist, signs=True)
+        S, _ = local_sup_stats(dist, spec, n, reps, seed=4)
+        np.testing.assert_allclose(S, gather_moments(spec.base, idx, signs)[0] / n,
+                                   rtol=1e-12, atol=1e-14)
+
+    def test_memory_scales_with_counts_not_the_gather(self):
+        # Gathering h at every draw would hold R * n * k = 26.2M float64
+        # values (210 MB) here; the count path keeps the (R, n) draws and
+        # (R, s) counts.
+        rng = np.random.default_rng(0)
+        dist = uniform_dist(16)
+        spec = FiniteClassSpec(base=rng.uniform(-1, 1, size=(64, 16)))
+        tracemalloc.start()
+        try:
+            draws = offset_complexity_draws(dist, spec, 0.5, n=2048, replicates=200, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert draws.shape == (200,)
+        assert peak < 40e6
 
 
 class TestStarHullSup:

@@ -13,7 +13,7 @@ from offset_risk.concentration import (
     tail_verify,
 )
 from offset_risk.instances import random_multiplier_setup
-from offset_risk.model import DiscreteDistribution
+from offset_risk.model import DiscreteDistribution, replicate_draws
 
 
 def make_setup(zeta, probs, base, gamma):
@@ -60,6 +60,13 @@ class TestMultiplierSup:
                 grid_best = max(grid_best, np.max(lams * a - lams**2 * bq))
             assert res.value == pytest.approx(grid_best, abs=1e-6)
             assert res.value >= grid_best - 1e-12
+
+    @pytest.mark.parametrize("bad", [[0, 2], [-1, 1]])
+    def test_atom_ids_outside_the_support_rejected(self, bad):
+        # Never a silent wrap to the last atom or a spill into another row.
+        setup = make_setup([1.0, -1.0], [0.5, 0.5], np.ones((1, 2)), gamma=0.5)
+        with pytest.raises((IndexError, ValueError)):
+            multiplier_sup(setup, bad)
 
     def test_eta_computed_from_data(self):
         base = np.array([[0.5, -0.25]])
@@ -147,6 +154,19 @@ class TestSimulation:
         # The first 20 replicates of a longer run coincide with a shorter run.
         c, _ = simulate_sup_draws(setup, n=7, replicates=20, seed=9)
         np.testing.assert_array_equal(a[:20], c)
+
+    def test_one_sample_sup_is_a_row_of_the_replicated_kernel(self):
+        rng = np.random.default_rng(8)
+        for seed in range(20):
+            setup = random_multiplier_setup(rng)
+            n, reps = int(rng.integers(1, 12)), 30
+            sups, quad_at_max = simulate_sup_draws(setup, n=n, replicates=reps, seed=seed)
+            idx, _ = replicate_draws(seed, "multiplier-sample", reps, n, setup.joint)
+            for r in range(reps):
+                res = multiplier_sup(setup, idx[r])
+                # One row goes through a different BLAS path than many rows.
+                assert res.value == pytest.approx(sups[r], rel=1e-13, abs=1e-14)
+                assert res.quad_at_max == pytest.approx(quad_at_max[r], rel=1e-13, abs=1e-14)
 
     def test_sup_draws_nonnegative(self):
         rng = np.random.default_rng(6)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from offset_risk.harness import cli
-from offset_risk.harness.aggregate import fit_rate, run_aggregate, worker_count
+from offset_risk.harness.aggregate import fit_rate, run_aggregate
 from offset_risk.harness.config import ExperimentConfig, config_hash
 from offset_risk.harness.outputs import read_csv, write_csv, write_json, write_svg
 from offset_risk.harness.verify import run_verify
@@ -76,6 +76,47 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"unknown check ids: \['nonsense'\]"):
             ExperimentConfig.from_dict({"checks": ["duality", "nonsense"]})
         assert ExperimentConfig(checks=["duality"]).checks == ("duality",)
+
+    @pytest.mark.parametrize("field_name, value", [("seed", "3"), ("seed", 1.5), ("seed", True),
+                                                   ("replicates", 2.5), ("replicates", "10"),
+                                                   ("replicates", False)])
+    def test_non_integer_counts_rejected(self, field_name, value):
+        with pytest.raises(ValueError, match=f"{field_name} must be an integer"):
+            ExperimentConfig.from_dict({field_name: value})
+
+    @pytest.mark.parametrize("field_name", ["gamma", "delta", "epsilon", "c1", "step"])
+    def test_non_number_reals_rejected(self, field_name):
+        for value in ("0.5", True, [0.5]):
+            with pytest.raises(ValueError, match=f"{field_name} must be a number"):
+                ExperimentConfig.from_dict({field_name: value})
+        assert getattr(ExperimentConfig.from_dict({field_name: 0.5}), field_name) == 0.5
+
+    def test_integer_reals_accepted(self):
+        cfg = ExperimentConfig.from_dict({"gamma": 2, "epsilon": 1, "c1": 4, "step": 1})
+        assert (cfg.gamma, cfg.epsilon, cfg.c1, cfg.step) == (2, 1, 4, 1)
+
+    @pytest.mark.parametrize("value", ["46", 64])
+    def test_n_grid_must_be_a_list(self, value):
+        with pytest.raises(ValueError, match="n_grid must be a list"):
+            ExperimentConfig.from_dict({"n_grid": value})
+
+    @pytest.mark.parametrize("value", [[64, "128"], [64.0, 128.0], [True, 2]])
+    def test_n_grid_must_hold_integers(self, value):
+        with pytest.raises(ValueError, match="n_grid must hold integers"):
+            ExperimentConfig.from_dict({"n_grid": value})
+
+    @pytest.mark.parametrize("value", ["duality", "star_offset", 3])
+    def test_checks_must_be_a_list(self, value):
+        with pytest.raises(ValueError, match="checks must be a list"):
+            ExperimentConfig.from_dict({"checks": value})
+
+    def test_unhashable_mirror_map_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown mirror map \['euclidean'\]"):
+            ExperimentConfig.from_dict({"mirror_map": ["euclidean"]})
+
+    def test_non_string_check_ids_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown check ids: \[3, 'nonsense'\]"):
+            ExperimentConfig.from_dict({"checks": [3, "duality", "nonsense"]})
 
     def test_hash_sensitivity(self):
         a = ExperimentConfig(seed=1)
@@ -184,28 +225,13 @@ class TestRunAggregate:
         for i in range(len(qs) - 1):
             assert qs[i + 1] <= qs[i] + 3.0 * (ses[i] + ses[i + 1])
 
-    def test_deterministic_and_thread_invariant(self, monkeypatch):
+    def test_deterministic_and_thread_invariant(self):
         dist, dictionary = rate_study_instance()
         cfg = ExperimentConfig(command="aggregate", estimator="midpoint",
                                n_grid=(16, 32), replicates=20, seed=11)
-        serial = run_aggregate(cfg, dist, dictionary)
-        monkeypatch.setenv("OFFSET_RISK_THREADS", "4")
-        threaded = run_aggregate(cfg, dist, dictionary)
-        assert serial.rows == threaded.rows
-
-
-class TestWorkerCount:
-    def test_default_and_valid_values(self, monkeypatch):
-        monkeypatch.delenv("OFFSET_RISK_THREADS", raising=False)
-        assert worker_count() == 1
-        monkeypatch.setenv("OFFSET_RISK_THREADS", "3")
-        assert worker_count() == 3
-
-    @pytest.mark.parametrize("raw", ["two", "-3", "0", "1.5", ""])
-    def test_malformed_value_rejected(self, monkeypatch, raw):
-        monkeypatch.setenv("OFFSET_RISK_THREADS", raw)
-        with pytest.raises(ValueError, match=f"OFFSET_RISK_THREADS.*{raw!r}"):
-            worker_count()
+        first = run_aggregate(cfg, dist, dictionary)
+        second = run_aggregate(cfg, dist, dictionary)
+        assert first.rows == second.rows
 
 
 class TestRunVerify:
@@ -300,6 +326,16 @@ class TestCli:
         path.write_text(json.dumps(doc))
         assert cli.main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "verify_manifest.json").exists()
+
+    @pytest.mark.parametrize("doc", [{"gamma": "0.5"}, {"n_grid": "46"}, {"seed": "3"},
+                                     {"replicates": 2.5}, {"checks": "duality"}])
+    def test_mistyped_config_exits_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and next(iter(doc)) in err
         assert not (tmp_path / "verify_manifest.json").exists()
 
     def test_bad_format_rejected(self, tmp_path):
