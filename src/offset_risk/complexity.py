@@ -25,7 +25,7 @@ from math import comb, log
 
 import numpy as np
 
-from .model import DiscreteDistribution, replicate_draws
+from .model import DiscreteDistribution, _atom_counts, replicate_draws
 
 __all__ = [
     "FiniteClassSpec",
@@ -125,6 +125,17 @@ class SparseBoundReport:
     per_sigma: np.ndarray
 
 
+def _lowest_best(values: np.ndarray, largest: bool = False) -> np.ndarray:
+    """Lowest index along the last axis within relative 1e-12 of the min (or max).
+
+    The slack is 1e-12 |best|: a best of 0 ties only exactly, and +inf never
+    ties with a finite minimum.
+    """
+    best = (values.max if largest else values.min)(axis=-1, keepdims=True)
+    slack = 1e-12 * np.abs(best)
+    return (values >= best - slack if largest else values <= best + slack).argmax(axis=-1)
+
+
 def star_hull_sup(
     linear: np.ndarray, quad: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -132,20 +143,21 @@ def star_hull_sup(
 
     Works over the last axis and returns (argmax, lam, value) with that axis
     dropped: lam = clip(linear / (2 quad), 0, 1), or 1{linear > 0} where
-    quad = 0. Ties go to the lowest h index, and the value is always >= 0
-    because lam = 0 is feasible.
+    quad = 0. The argmax is the lowest h index within relative 1e-12 of the
+    best value, and the value is always >= 0 because lam = 0 is feasible.
     """
     linear = np.asarray(linear, dtype=np.float64)
     quad = np.asarray(quad, dtype=np.float64)
     if linear.shape != quad.shape:
         raise ValueError("linear and quadratic coefficient arrays must align")
-    if np.any(quad < 0):
+    if (quad < 0).any():
         raise ValueError("quadratic coefficients must be nonnegative")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = np.where(quad > 0, np.clip(linear / (2.0 * quad), 0.0, 1.0), 0.0)
-    lam = np.where((quad == 0) & (linear > 0), 1.0, lam)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # clip(linear / (2 quad), 0, 1); at quad = 0 the ratio is +-inf, or
+        # NaN when linear = 0 too, which fmax sends to 0.
+        lam = np.minimum(np.fmax(linear / (2.0 * quad), 0.0), 1.0)
     values = lam * linear - lam**2 * quad
-    j = np.argmax(values, axis=-1)
+    j = _lowest_best(values, largest=True)
     at_j = (*np.indices(j.shape, sparse=True), j)
     return j, lam[at_j], values[at_j]
 
@@ -166,14 +178,11 @@ def _draw_moments(
     """(R, k) sums sum_i w[r, i] h(X_ri) and sum_i h(X_ri)^2 over (R, n) atom ids.
 
     A row's sums depend on its draws only through its per-atom counts and
-    weighted counts: two bincounts over the rows offset by s, so memory is
-    O(R s), not the O(R n k) of a gather. Ids must lie in [0, s).
+    weighted counts, so memory is O(R s), not the O(R n k) of a gather. Ids
+    must lie in [0, s).
     """
-    rows, s = idx.shape[0], base.shape[1]
-    flat = (idx + np.arange(0, rows * s, s)[:, None]).ravel()
-    counts = np.bincount(flat, minlength=rows * s).reshape(rows, s)
-    weighted = np.bincount(flat, weights=weights.ravel(), minlength=rows * s).reshape(rows, s)
-    return weighted @ base.T, counts @ (base**2).T
+    s = base.shape[1]
+    return _atom_counts(idx, s, weights) @ base.T, _atom_counts(idx, s) @ (base**2).T
 
 
 def _per_draw_sups(

@@ -19,12 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .complexity import _lowest_best, star_hull_sup
 from .model import (
     Dictionary,
     DiscreteDistribution,
     LossSpec,
     PredictorWeights,
     Sample,
+    _atom_counts,
     predict_all,
 )
 
@@ -97,45 +99,81 @@ class DivergenceError(RuntimeError):
         self.trace = trace
 
 
-def _sampled_values(
-    sample: Sample, dist: DiscreteDistribution, dictionary: Dictionary
-) -> tuple[np.ndarray, np.ndarray]:
+# Rows per chunk of the batched fit are capped so that each (rows, m, s)
+# temporary holds at most this many float64 values (1 MB).
+_FIT_CHUNK_ELEMENTS = 2**17
+
+
+def _sample_counts(sample: Sample, dist: DiscreteDistribution, dictionary: Dictionary):
+    """(1, s) atom counts of one sample, checked against the support."""
     dictionary.validate_for(dist)
     sample.validate_for(dist)
-    idx = sample.indices
-    return dictionary.values[:, idx], dist.ys[idx]
+    return _atom_counts(sample.indices[None, :], dist.size)
 
 
-def _empirical_risks(
-    sample: Sample, dist: DiscreteDistribution, loss: LossSpec, dictionary: Dictionary
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Sampled values, labels, per-row empirical risks and their argmin (first on ties)."""
-    vals_at, y_at = _sampled_values(sample, dist, dictionary)
-    risks = loss.eval(vals_at, y_at[None, :]).mean(axis=1)
-    return vals_at, y_at, risks, int(np.argmin(risks))
+def _fit_rows(counts: np.ndarray, dist: DiscreteDistribution, loss: LossSpec,
+              dictionary: Dictionary, estimator: str, delta: float = 0.05, c1: float = 4.0):
+    """Fit ``erm``, ``star`` or ``midpoint`` on every row of (R, s) atom counts.
+
+    Returns per row the empirical minimizer e, the partner p, the (R, m)
+    weights of the fit (lam on e, 1 - lam on p) and, for midpoint only, the
+    (R, m) almost-minimizer mask. Atom a weighs count(a)/n. Rows go in
+    chunks, so no (rows, m, s) temporary grows with R.
+    """
+    chunk = max(1, _FIT_CHUNK_ELEMENTS // dictionary.values.size)
+    if counts.shape[0] > chunk:
+        parts = [_fit_rows(counts[lo : lo + chunk], dist, loss, dictionary, estimator, delta, c1)
+                 for lo in range(0, counts.shape[0], chunk)]
+        return tuple(None if part[0] is None else np.concatenate(part) for part in zip(*parts))
+    values, ys, m = dictionary.values, dist.ys, dictionary.m
+    rows = np.arange(counts.shape[0])
+    n = counts.sum(axis=1, keepdims=True)
+    w = (counts / n)[:, None, :]
+    risks = (w * loss.eval(values, ys)).sum(axis=-1)
+    e = _lowest_best(risks)
+    p, lam, near = e, 1.0, None
+    if estimator != "erm":
+        g_e = values[e][:, None, :]
+        diff = values - g_e  # g_f - g_e at every atom
+        sq_dist = (w * diff**2).sum(axis=-1)  # B_f = |g_f - g_e|_n^2
+    if estimator == "midpoint":
+        log_term = np.log(2.0 * m / delta)
+        d_emp = np.sqrt(sq_dist * log_term / n) + dictionary.b * log_term / n
+        near = risks <= risks[rows, e][:, None] + c1 * loss.lipschitz * d_emp
+        mid_risks = (w * loss.eval(0.5 * (g_e + values), ys)).sum(axis=-1)
+        p, lam = _lowest_best(np.where(near, mid_risks, np.inf)), 0.5
+    elif estimator == "star" and loss.kind == "squared":
+        # g_e + mu (g_f - g_e) has risk R_n(e) - [mu A_f - mu^2 B_f] with
+        # A_f = -2 <g_f - g_e, g_e - y>_n: the star-hull kernel's sup.
+        linear = -2.0 * (w * diff * (g_e - ys)).sum(axis=-1)
+        p, mu, _ = star_hull_sup(linear, sq_dist)
+        lam = 1.0 - mu
+    elif estimator == "star":  # other convex losses: ternary search on every slice
+        def mix_risk(lams: np.ndarray) -> np.ndarray:
+            mixed = lams[..., None] * g_e + (1.0 - lams[..., None]) * values
+            return (w * loss.eval(mixed, ys)).sum(axis=-1)
+        lo, hi = np.zeros(sq_dist.shape), np.ones(sq_dist.shape)
+        while np.any(hi - lo >= 1e-10):  # all brackets shrink alike and stop together
+            third = (hi - lo) / 3.0
+            a, b = lo + third, hi - third
+            left = mix_risk(a) <= mix_risk(b)
+            hi, lo = np.where(left, b, hi), np.where(left, lo, a)
+        # A partner equal to g_e on the sample takes the canonical lam = 1.
+        lams = np.where(sq_dist == 0, 1.0, 0.5 * (lo + hi))
+        p = _lowest_best(mix_risk(lams))
+        lam = lams[rows, p]
+    weights = np.zeros((rows.size, m))
+    weights[rows, e] = lam
+    weights[rows, p] += 1.0 - lam
+    return e, p, weights, near
 
 
 def erm(
     sample: Sample, dist: DiscreteDistribution, loss: LossSpec, dictionary: Dictionary
 ) -> int:
-    """Index of the dictionary row with smallest empirical risk (first on ties)."""
-    return _empirical_risks(sample, dist, loss, dictionary)[3]
-
-
-def _ternary_lambda(
-    mix_risk, lo: float = 0.0, hi: float = 1.0, tol: float = 1e-10, max_iter: int = 200
-) -> float:
-    """Minimize a convex 1-D slice over [0, 1] by ternary search."""
-    for _ in range(max_iter):
-        if hi - lo < tol:
-            break
-        third = (hi - lo) / 3.0
-        a, b = lo + third, hi - third
-        if mix_risk(a) <= mix_risk(b):
-            hi = b
-        else:
-            lo = a
-    return 0.5 * (lo + hi)
+    """Index of the row with smallest empirical risk; ties: lowest within relative 1e-12."""
+    counts = _sample_counts(sample, dist, dictionary)
+    return int(_fit_rows(counts, dist, loss, dictionary, "erm")[0][0])
 
 
 def star(
@@ -144,48 +182,21 @@ def star(
     """Two-step segment-search aggregation over the dictionary.
 
     First takes the empirical risk minimizer e, then jointly minimizes the
-    empirical risk of lam*g_e + (1-lam)*g_f over partners f and lam in [0,1].
-    For the squared loss the lam-minimization is an exact quadratic solve
-    clamped to [0,1]; for other convex losses a ternary search is used. Ties
-    go to the lowest partner index. The partner f = e is always feasible
-    (canonical lam = 1 there), so the result never does worse than e.
+    empirical risk of lam*g_e + (1-lam)*g_f over partners f and lam in [0,1]:
+    exactly by the star-hull kernel for the squared loss, by ternary search
+    for other convex losses. Ties go to the lowest partner index within
+    relative 1e-12. A partner equal to e on the sample takes lam = 1, and
+    f = e is always feasible, so the result never does worse than e.
     """
-    vals_at, y_at, risks, e = _empirical_risks(sample, dist, loss, dictionary)
-    m = vals_at.shape[0]
-    if loss.kind == "squared":
-        seg = vals_at[e][None, :] - vals_at  # g_e - g_f at the sample
-        resid = vals_at - y_at[None, :]
-        quad = np.mean(seg**2, axis=1)
-        lin = np.mean(seg * resid, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lams = np.where(quad > 0, np.clip(-lin / quad, 0.0, 1.0), 1.0)
-        mix_risks = lams**2 * quad + 2.0 * lams * lin + risks
-    else:
-        lams = np.empty(m)
-        mix_risks = np.empty(m)
-        for f in range(m):
-            if np.array_equal(vals_at[f], vals_at[e]):
-                lams[f], mix_risks[f] = 1.0, risks[e]
-                continue
-
-            def mix_risk(lam: float, f: int = f) -> float:
-                mixed = lam * vals_at[e] + (1.0 - lam) * vals_at[f]
-                return float(np.mean(loss.eval(mixed, y_at)))
-
-            lams[f] = _ternary_lambda(mix_risk)
-            mix_risks[f] = mix_risk(lams[f])
-    p = int(np.argmin(mix_risks))
-    lam = float(lams[p])
-    w = np.zeros(m)
-    w[e] += lam
-    w[p] += 1.0 - lam
-    mixed = lam * vals_at[e] + (1.0 - lam) * vals_at[p]
+    counts = _sample_counts(sample, dist, dictionary)
+    e, p, weights, _ = _fit_rows(counts, dist, loss, dictionary, "star")
+    w = weights[0]
     return StarSolution(
-        erm_index=e,
-        partner_index=p,
-        lam=lam,
+        erm_index=int(e[0]),
+        partner_index=int(p[0]),
+        lam=float(w[e[0]]),
         weights=PredictorWeights(weights=w),
-        empirical_risk=float(np.mean(loss.eval(mixed, y_at))),
+        empirical_risk=float(counts[0] @ loss.eval(w @ dictionary.values, dist.ys) / sample.n),
     )
 
 
@@ -206,29 +217,19 @@ def midpoint(
 
     and L is the loss's Lipschitz constant. Among almost minimizers, the
     returned partner minimizes the empirical risk of (g_e + g)/2, ties to the
-    lowest index. The minimizer e itself is always admissible.
+    lowest index within relative 1e-12. The minimizer e is always admissible.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie strictly between 0 and 1")
     if c1 <= 0:
         raise ValueError("c1 must be positive")
-    vals_at, y_at, risks, e = _empirical_risks(sample, dist, loss, dictionary)
-    m, n = vals_at.shape
-    log_term = np.log(2.0 * m / delta)
-    sq_dist = np.mean((vals_at - vals_at[e][None, :]) ** 2, axis=1)
-    d_emp = np.sqrt(sq_dist * log_term / n) + dictionary.b * log_term / n
-    admissible = np.flatnonzero(risks <= risks[e] + c1 * loss.lipschitz * d_emp)
-    mids = 0.5 * (vals_at[e][None, :] + vals_at[admissible])
-    mid_risks = loss.eval(mids, y_at[None, :]).mean(axis=1)
-    p = int(admissible[int(np.argmin(mid_risks))])
-    w = np.zeros(m)
-    w[e] += 0.5
-    w[p] += 0.5
+    counts = _sample_counts(sample, dist, dictionary)
+    e, p, weights, near = _fit_rows(counts, dist, loss, dictionary, "midpoint", delta, c1)
     return MidpointSolution(
-        erm_index=e,
-        partner_index=p,
-        weights=PredictorWeights(weights=w),
-        almost_minimizer_set=tuple(int(j) for j in admissible),
+        erm_index=int(e[0]),
+        partner_index=int(p[0]),
+        weights=PredictorWeights(weights=weights[0]),
+        almost_minimizer_set=tuple(int(j) for j in np.flatnonzero(near[0])),
     )
 
 
@@ -266,11 +267,11 @@ def check_offset(
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    vals_at, y_at = _sampled_values(sample, dist, dictionary)
-    pred_at = predict_all(dictionary, predictor)[sample.indices]
-    g_at = vals_at[gstar_index]
-    risk_gap = float(np.mean(loss.eval(pred_at, y_at)) - np.mean(loss.eval(g_at, y_at)))
-    quadratic = float(np.mean((pred_at - g_at) ** 2))
+    w = _sample_counts(sample, dist, dictionary)[0] / sample.n
+    pred = predict_all(dictionary, predictor)
+    g = dictionary.values[gstar_index]
+    risk_gap = float(w @ (loss.eval(pred, dist.ys) - loss.eval(g, dist.ys)))
+    quadratic = float(w @ (pred - g) ** 2)
     return offset_report_from_values(risk_gap, quadratic, gamma, epsilon)
 
 

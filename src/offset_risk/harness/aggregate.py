@@ -1,10 +1,11 @@
 """Excess-risk rate study: replicated fits across a sample-size grid.
 
 For each n in the grid, ``replicates`` independent trials draw a sample, fit
-the configured estimator, and record the exact excess risk. The per-n readout
-is the empirical (1 - delta)-quantile (the natural statistic for a deviation
-claim), alongside mean and median; a log-log least-squares line through the
-quantile column summarizes the decay rate.
+the configured estimator (one batch over their atom counts), and record the
+exact excess risk. The per-n readout is the empirical (1 - delta)-quantile
+(the natural statistic for a deviation claim), alongside mean and median; a
+log-log least-squares line through the quantile column summarizes the decay
+rate.
 """
 
 from __future__ import annotations
@@ -13,16 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..estimators import erm, midpoint, star
-from ..model import (
-    Dictionary,
-    DiscreteDistribution,
-    LossSpec,
-    Sample,
-    replicate_draws,
-    squared_loss,
-)
-from ..risk import population_minimizer, population_risk_of_values
+from ..estimators import _fit_rows
+from ..model import Dictionary, DiscreteDistribution, _atom_counts, replicate_draws, squared_loss
+from ..risk import population_minimizer
 from .config import ExperimentConfig, resolve_instance
 
 __all__ = ["RateFit", "AggregateStudy", "fit_rate", "run_aggregate"]
@@ -68,24 +62,6 @@ def fit_rate(points: list[tuple[int, float]]) -> RateFit:
     )
 
 
-def _fit_excess(
-    config: ExperimentConfig,
-    dist: DiscreteDistribution,
-    dictionary: Dictionary,
-    loss: LossSpec,
-    sample: Sample,
-    gstar_risk: float,
-) -> float:
-    if config.estimator == "erm":
-        values = dictionary.values[erm(sample, dist, loss, dictionary)]
-    elif config.estimator == "star":
-        values = star(sample, dist, loss, dictionary).weights.weights @ dictionary.values
-    else:  # midpoint; the config admits no other estimator
-        fit = midpoint(sample, dist, loss, dictionary, delta=config.delta, c1=config.c1)
-        values = fit.weights.weights @ dictionary.values
-    return population_risk_of_values(dist, loss, values) - gstar_risk
-
-
 def run_aggregate(
     config: ExperimentConfig,
     dist: DiscreteDistribution | None = None,
@@ -103,12 +79,10 @@ def run_aggregate(
         idx, _ = replicate_draws(
             config.seed, f"aggregate-{config.estimator}-n{n}", config.replicates, n, dist
         )
-        excesses = [
-            _fit_excess(config, dist, dictionary, loss, Sample(indices=row), gstar_risk)
-            for row in idx
-        ]
-        rows.extend((n, rep, ex) for rep, ex in enumerate(excesses))
-        vals = np.array(excesses)
+        weights = _fit_rows(_atom_counts(idx, dist.size), dist, loss, dictionary,
+                            config.estimator, config.delta, config.c1)[2]
+        vals = loss.eval(weights @ dictionary.values, dist.ys) @ dist.probs - gstar_risk
+        rows.extend((n, rep, float(ex)) for rep, ex in enumerate(vals))
         q = float(np.quantile(vals, 1.0 - config.delta))
         summary.append(
             {

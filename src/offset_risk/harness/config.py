@@ -90,8 +90,14 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown mirror map {self.mirror_map!r}; expected one of {tuple(MIRROR_MAPS)}"
             )
+        if not (self.instance is None or isinstance(self.instance, (str, dict))):
+            raise ValueError(
+                f"instance must be a file path or an instance document, got {self.instance!r}"
+            )
         if isinstance(self.instance, str) and not Path(self.instance).exists():
             raise ValueError(f"instance file {self.instance!r} does not exist")
+        if self.instance is not None:
+            resolve_instance(self)  # a malformed instance fails here, at load
         if self.checks is not None:
             checks = tuple(self.checks)
             unknown = [c for c in checks if c not in CHECK_IDS]
@@ -129,6 +135,6 @@ def resolve_instance(
     """Materialize the configured instance; defaults to the rate-study one."""
     if config.instance is None:
         return rate_study_instance()
-    if isinstance(config.instance, str):
-        return load_instance_file(config.instance)
-    return load_instance(config.instance)
+    if isinstance(config.instance, dict):
+        return load_instance(config.instance)
+    return load_instance_file(config.instance)

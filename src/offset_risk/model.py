@@ -289,6 +289,17 @@ def _atom_ids(dist: DiscreteDistribution, u: np.ndarray) -> np.ndarray:
     return np.minimum(np.searchsorted(dist._cum_probs, u, side="right"), dist._last_atom)
 
 
+def _atom_counts(idx: np.ndarray, size: int, weights: np.ndarray | None = None) -> np.ndarray:
+    """(R, size) per-row counts of the atom ids in ``idx``, or per-atom sums of ``weights``.
+
+    One bincount over the ids offset by ``size`` per row; ids must lie in [0, size).
+    """
+    rows = idx.shape[0]
+    flat = (idx + np.arange(0, rows * size, size)[:, None]).ravel()
+    w = None if weights is None else weights.ravel()
+    return np.bincount(flat, weights=w, minlength=rows * size).reshape(rows, size)
+
+
 def draw_atom_ids(dist: DiscreteDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n atom ids i.i.d. from the atom law via inverse-CDF sampling."""
     return _atom_ids(dist, rng.random(n))
@@ -429,8 +440,20 @@ def load_instance(doc: dict) -> tuple[DiscreteDistribution, Dictionary]:
         table = doc["dictionary"]
     except KeyError as missing:
         raise ValueError(f"instance document is missing field {missing}") from None
-    xs = np.array([np.atleast_1d(np.asarray(a["x"], dtype=np.float64)) for a in atoms])
-    ys = np.array([float(a["y"]) for a in atoms])
+    except TypeError as err:
+        raise ValueError(f"malformed instance document: {err}") from None
+    if not isinstance(atoms, list):
+        raise ValueError(f"instance field 'atoms' must be a list, got {atoms!r}")
+    xs, ys = [], []
+    for i, atom in enumerate(atoms):
+        try:
+            xs.append(np.atleast_1d(np.asarray(atom["x"], dtype=np.float64)))
+            ys.append(float(atom["y"]))
+        except KeyError as missing:
+            raise ValueError(f"instance atom {i} is missing field {missing}") from None
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"instance atom {i} is malformed: {err}") from None
+    xs, ys = np.array(xs), np.array(ys)
     dist = DiscreteDistribution(xs=xs, ys=ys, probs=np.asarray(probs, dtype=np.float64), b=b)
     dictionary = Dictionary(values=np.asarray(table, dtype=np.float64), b=b)
     dictionary.validate_for(dist)

@@ -20,6 +20,7 @@ from .model import (
     LossSpec,
     PredictorWeights,
     Sample,
+    _atom_counts,
     predict_all,
 )
 
@@ -153,7 +154,7 @@ def empirical_measure(sample: Sample, dist: DiscreteDistribution) -> DiscreteDis
     makes the empirical/population duality checks exact.
     """
     sample.validate_for(dist)
-    counts = np.bincount(sample.indices, minlength=dist.size).astype(np.float64)
+    counts = _atom_counts(sample.indices[None, :], dist.size)[0]
     return DiscreteDistribution(xs=dist.xs, ys=dist.ys, probs=counts / sample.n, b=dist.b)
 
 

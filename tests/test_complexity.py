@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+import warnings
 from math import comb
 
 import numpy as np
@@ -169,6 +170,13 @@ class TestStarHullSup:
     def test_negative_quadratic_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             star_hull_sup([1.0], [-0.1])
+
+    def test_subnormal_quadratic_clips_without_warning(self):
+        # linear / (2 quad) overflows to inf; lam is clipped to 1 silently.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            j, lam, value = star_hull_sup([1.0], [1e-310])
+        assert (j, lam, value) == (0, 1.0, 1.0)
 
     def test_matches_dense_lambda_grid(self):
         rng = np.random.default_rng(0)

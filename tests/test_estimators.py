@@ -1,17 +1,24 @@
 """Aggregation estimators: exact solves, feasibility, offset margins, duality."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from offset_risk.estimators import check_offset, erm, midpoint, star
-from offset_risk.instances import random_instance
+from offset_risk.complexity import _lowest_best
+from offset_risk.estimators import _fit_rows, check_offset, erm, midpoint, star
+from offset_risk.harness.aggregate import run_aggregate
+from offset_risk.harness.config import ExperimentConfig
+from offset_risk.instances import random_instance, rate_study_instance
 from offset_risk.model import (
     DiscreteDistribution,
     Dictionary,
     PredictorWeights,
     Sample,
+    _atom_counts,
     custom_loss,
     draw_sample,
+    replicate_draws,
     squared_loss,
 )
 from offset_risk.risk import (
@@ -22,6 +29,60 @@ from offset_risk.risk import (
 )
 
 LOSS = squared_loss(1.0)
+
+
+# Per-sample references: the star and midpoint estimators as they were before
+# the count-row batch, gathering (m, n) sample values, with the tie rule.
+
+
+def _sample_risks(sample, dist, loss, dictionary):
+    idx = sample.indices
+    vals_at, y_at = dictionary.values[:, idx], dist.ys[idx]
+    risks = loss.eval(vals_at, y_at[None, :]).mean(axis=1)
+    return vals_at, y_at, risks, int(_lowest_best(risks))
+
+
+def loop_star(sample, dist, loss, dictionary):
+    """(erm, partner, lam) of the per-sample squared-loss star solve."""
+    vals_at, y_at, risks, e = _sample_risks(sample, dist, loss, dictionary)
+    seg = vals_at[e][None, :] - vals_at  # g_e - g_f at the sample
+    resid = vals_at - y_at[None, :]
+    quad = np.mean(seg**2, axis=1)
+    lin = np.mean(seg * resid, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lams = np.where(quad > 0, np.clip(-lin / quad, 0.0, 1.0), 1.0)
+    mix_risks = lams**2 * quad + 2.0 * lams * lin + risks
+    p = int(_lowest_best(mix_risks))
+    return e, p, float(lams[p])
+
+
+def loop_midpoint(sample, dist, loss, dictionary, delta, c1=4.0):
+    """(erm, partner, almost-minimizer set) of the per-sample midpoint."""
+    vals_at, y_at, risks, e = _sample_risks(sample, dist, loss, dictionary)
+    m, n = vals_at.shape
+    log_term = np.log(2.0 * m / delta)
+    sq_dist = np.mean((vals_at - vals_at[e][None, :]) ** 2, axis=1)
+    d_emp = np.sqrt(sq_dist * log_term / n) + dictionary.b * log_term / n
+    admissible = np.flatnonzero(risks <= risks[e] + c1 * loss.lipschitz * d_emp)
+    mids = 0.5 * (vals_at[e][None, :] + vals_at[admissible])
+    mid_risks = loss.eval(mids, y_at[None, :]).mean(axis=1)
+    p = int(admissible[int(_lowest_best(mid_risks))])
+    return e, p, tuple(int(j) for j in admissible)
+
+
+def loop_excess(estimator, sample, dist, dictionary, delta, c1):
+    """Exact excess risk of one per-sample reference fit."""
+    if estimator == "erm":
+        e, p, lam = _sample_risks(sample, dist, LOSS, dictionary)[3], 0, 1.0
+    elif estimator == "star":
+        e, p, lam = loop_star(sample, dist, LOSS, dictionary)
+    else:
+        (e, p, _), lam = loop_midpoint(sample, dist, LOSS, dictionary, delta, c1), 0.5
+    w = np.zeros(dictionary.m)
+    w[e] += lam
+    w[p] += 1.0 - lam
+    risk = LOSS.eval(w @ dictionary.values, dist.ys) @ dist.probs
+    return risk - population_minimizer(dist, LOSS, dictionary).gstar_risk
 
 
 def noisy_constant_instance():
@@ -82,7 +143,12 @@ class TestStar:
             grid_risks = np.mean(
                 (lams[:, None] * e_vals + (1 - lams[:, None]) * p_vals - y) ** 2, axis=1
             )
-            assert abs(sol.lam - lams[np.argmin(grid_risks)]) <= 2e-6
+            if sol.partner_index == sol.erm_index:
+                # The segment is a single point, so every lam attains the grid
+                # minimum; the contract is the canonical lam = 1.
+                assert sol.lam == 1.0
+            else:
+                assert abs(sol.lam - lams[np.argmin(grid_risks)]) <= 2e-6
             assert sol.empirical_risk <= grid_risks.min() + 1e-12
 
     def test_never_worse_than_erm_or_any_row(self):
@@ -278,3 +344,145 @@ class TestOffsetBernsteinDuality:
             for g in range(dictionary.m):
                 off = check_offset(sample, dist, LOSS, dictionary, w, g, 1.0)
                 assert off.margin == pytest.approx(bern_unit.margins[g], abs=1e-12)
+
+
+class TestTieRule:
+    def test_near_ties_within_1e_12_go_to_the_lowest_index(self):
+        assert _lowest_best(np.array([1.0 + 5e-13, 1.0, 2.0])) == 0
+        assert _lowest_best(np.array([1.0 - 5e-13, 1.0]), largest=True) == 0
+
+    def test_gaps_past_1e_12_are_not_ties(self):
+        assert _lowest_best(np.array([1.0 + 2e-12, 1.0])) == 1
+        assert _lowest_best(np.array([1.0 - 2e-12, 1.0]), largest=True) == 1
+
+    def test_slack_is_relative_to_the_magnitude_of_negative_values(self):
+        assert _lowest_best(np.array([-1.0 + 5e-13, -1.0])) == 0
+        assert _lowest_best(np.array([-1.0 + 2e-12, -1.0])) == 1
+        assert _lowest_best(np.array([-1.0 - 5e-13, -1.0]), largest=True) == 0
+        assert _lowest_best(np.array([-1.0 - 2e-12, -1.0]), largest=True) == 1
+
+    def test_zero_best_ties_only_exactly(self):
+        assert _lowest_best(np.array([1e-300, 0.0])) == 1
+        assert _lowest_best(np.array([0.0, 0.0, 1.0])) == 0
+
+    def test_infinite_entries_never_tie_with_a_finite_best(self):
+        # Masked midpoint partners carry +inf.
+        assert _lowest_best(np.array([np.inf, 2.0, 1.0, np.inf])) == 2
+        assert _lowest_best(np.array([np.inf, 1.0, 1.0 + 1e-13])) == 1
+
+    def test_rows_are_independent(self):
+        values = np.array([[3.0, 1.0, 1.0 + 1e-13], [0.5, 0.5 + 1e-11, 0.2]])
+        np.testing.assert_array_equal(_lowest_best(values), [1, 2])
+        np.testing.assert_array_equal(_lowest_best(values, largest=True), [0, 1])
+
+
+def _fit_cases():
+    """(dist, dictionary, (R, n) ids) on random instances and the rate instance."""
+    rng = np.random.default_rng(21)
+    cases = []
+    for trial in range(30):
+        dist, dictionary = random_instance(rng)
+        n = int(rng.integers(1, 40))
+        idx, _ = replicate_draws(trial, "fit-rows", 6, n, dist)
+        cases.append((dist, dictionary, idx))
+    # Single-atom samples: n = 1, and n draws of one atom.
+    dist, dictionary = random_instance(np.random.default_rng(22))
+    cases.append((dist, dictionary, np.arange(dist.size)[:, None]))
+    cases.append((dist, dictionary, np.repeat(np.arange(dist.size)[:, None], 7, axis=1)))
+    dist, dictionary = rate_study_instance()
+    cases.append((dist, dictionary, replicate_draws(5, "fit-rows", 40, 64, dist)[0]))
+    return cases
+
+
+# The squared loss flagged as custom: star takes the ternary-search path.
+SLOW_LOSS = custom_loss(eval=LOSS.eval, grad=LOSS.grad, lipschitz=4.0, strong_convexity=2.0,
+                        b=1.0)
+
+
+class TestFitRows:
+    @pytest.mark.parametrize("estimator, loss", [("erm", LOSS), ("star", LOSS),
+                                                 ("midpoint", LOSS), ("star", SLOW_LOSS)])
+    def test_each_row_equals_the_one_row_fit(self, estimator, loss):
+        for dist, dictionary, idx in _fit_cases():
+            e, p, weights, near = _fit_rows(_atom_counts(idx, dist.size), dist, loss,
+                                            dictionary, estimator, 0.1, 4.0)
+            for r, row in enumerate(idx):
+                sample = Sample(indices=row)
+                if estimator == "erm":
+                    assert e[r] == p[r] == erm(sample, dist, loss, dictionary)
+                    np.testing.assert_array_equal(weights[r], np.eye(dictionary.m)[e[r]])
+                    continue
+                if estimator == "star":
+                    sol = star(sample, dist, loss, dictionary)
+                else:
+                    sol = midpoint(sample, dist, loss, dictionary, delta=0.1)
+                    assert tuple(np.flatnonzero(near[r])) == sol.almost_minimizer_set
+                assert (e[r], p[r]) == (sol.erm_index, sol.partner_index)
+                np.testing.assert_allclose(weights[r], sol.weights.weights, rtol=0, atol=1e-12)
+
+    def test_star_matches_the_per_sample_reference(self):
+        # The picks differ only on ties: where several mixtures interpolate
+        # the sample (one distinct atom, say), all have risk 0 up to rounding;
+        # the reference then follows the rounding of near-zero risks, the
+        # kernel the tie rule on gains over R_n(e).
+        for dist, dictionary, idx in _fit_cases():
+            for row in idx:
+                sample = Sample(indices=row)
+                sol = star(sample, dist, LOSS, dictionary)
+                e, p, lam = loop_star(sample, dist, LOSS, dictionary)
+                assert sol.erm_index == e
+                if sol.partner_index == p:
+                    assert sol.lam == pytest.approx(lam, rel=0, abs=1e-12)
+                    continue
+                w = np.zeros(dictionary.m)
+                w[e] += lam
+                w[p] += 1.0 - lam
+                ref = empirical_risk(sample, dist, LOSS, dictionary, PredictorWeights(weights=w))
+                assert max(sol.empirical_risk, ref.value) <= 1e-12
+
+    def test_midpoint_matches_the_per_sample_reference(self):
+        for dist, dictionary, idx in _fit_cases():
+            for row in idx:
+                sample = Sample(indices=row)
+                sol = midpoint(sample, dist, LOSS, dictionary, delta=0.1)
+                e, p, admissible = loop_midpoint(sample, dist, LOSS, dictionary, 0.1)
+                assert (sol.erm_index, sol.partner_index) == (e, p)
+                assert sol.almost_minimizer_set == admissible
+
+    def test_star_partner_at_lam_one_is_the_lowest_index(self):
+        # Trial 3 of the closed-form test: no mixture beats the minimizer, so
+        # every partner ties at lam = 1. Float noise in the mixed risks once
+        # picked partner 2; the tie rule gives the lowest index.
+        rng = np.random.default_rng(3)
+        for _ in range(4):
+            dist, dictionary = random_instance(rng, max_atoms=8, max_m=5)
+        sol = star(draw_sample(dist, 12, seed=3), dist, LOSS, dictionary)
+        assert (sol.erm_index, sol.partner_index, sol.lam) == (0, 0, 1.0)
+
+    @pytest.mark.parametrize("estimator", ["star", "midpoint"])
+    def test_memory_bounded_over_many_rows(self, estimator):
+        dist, dictionary = rate_study_instance()
+        idx, _ = replicate_draws(0, "fit-memory", 20_000, 64, dist)
+        counts = _atom_counts(idx, dist.size)
+        del idx
+        tracemalloc.start()
+        try:
+            _fit_rows(counts, dist, LOSS, dictionary, estimator)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+
+    @pytest.mark.parametrize("estimator", ["erm", "star", "midpoint"])
+    def test_run_aggregate_rows_match_per_sample_fits(self, estimator):
+        dist, dictionary = rate_study_instance()
+        cfg = ExperimentConfig(command="aggregate", estimator=estimator,
+                               n_grid=(16, 256), replicates=60, seed=3)
+        rows = run_aggregate(cfg, dist, dictionary).rows
+        for n in cfg.n_grid:
+            idx, _ = replicate_draws(cfg.seed, f"aggregate-{estimator}-n{n}",
+                                     cfg.replicates, n, dist)
+            got = [ex for n_row, _, ex in rows if n_row == n]
+            want = [loop_excess(estimator, Sample(indices=row), dist, dictionary,
+                                cfg.delta, cfg.c1) for row in idx]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)

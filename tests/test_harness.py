@@ -46,6 +46,23 @@ class TestConfig:
         with pytest.raises(ValueError, match="does not exist"):
             ExperimentConfig(instance="/nonexistent/path.json")
 
+    @pytest.mark.parametrize("instance, message", [
+        (5, "instance must be"),
+        ({"atoms": 3}, "missing field 'probs'"),
+        ({"atoms": [{"y": 0.5}], "probs": [1.0], "b": 1.0, "dictionary": [[0.0]]},
+         "atom 0 is missing field 'x'"),
+    ])
+    def test_malformed_instance_rejected_at_load(self, instance, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(instance=instance)
+
+    def test_malformed_instance_file_rejected_at_load(self, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"atoms": [{"x": [0.0]}], "probs": [1.0], "b": 1.0,
+                                    "dictionary": [[0.0]]}))
+        with pytest.raises(ValueError, match="atom 0 is missing field 'y'"):
+            ExperimentConfig(instance=str(path))
+
     @pytest.mark.parametrize("gamma", [0.0, -0.5, float("nan")])
     def test_nonpositive_gamma_rejected(self, gamma):
         with pytest.raises(ValueError, match="gamma must be positive"):
@@ -337,6 +354,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and next(iter(doc)) in err
         assert not (tmp_path / "verify_manifest.json").exists()
+
+    @pytest.mark.parametrize("instance", [
+        5,
+        {"atoms": 3},
+        {"atoms": [{"y": 0.5}], "probs": [1.0], "b": 1.0, "dictionary": [[0.0]]},
+    ])
+    def test_malformed_instance_exits_2(self, tmp_path, capsys, instance):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"instance": instance}))
+        assert cli.main(["aggregate", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "instance" in err
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_bad_format_rejected(self, tmp_path):
         res = self.run_cli("aggregate", "--format", "pdf", "--out", str(tmp_path))

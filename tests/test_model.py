@@ -218,6 +218,20 @@ class TestInstanceJson:
         with pytest.raises(ValueError, match="missing"):
             load_instance(doc)
 
+    @pytest.mark.parametrize("atom, field", [({"y": 0.5}, "'x'"), ({"x": [1.0]}, "'y'")])
+    def test_atom_missing_field(self, atom, field):
+        doc = self.doc()
+        doc["atoms"][1] = atom
+        with pytest.raises(ValueError, match=f"atom 1 is missing field {field}"):
+            load_instance(doc)
+
+    def test_malformed_atoms_rejected(self):
+        for atoms in (3, [5, {"x": [0.0], "y": 0.5}], [{"x": "a", "y": 0.5}] * 2):
+            doc = self.doc()
+            doc["atoms"] = atoms
+            with pytest.raises(ValueError, match="atom"):
+                load_instance(doc)
+
     def test_dictionary_width_checked(self):
         doc = self.doc()
         doc["dictionary"] = [[0.5]]
