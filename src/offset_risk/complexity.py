@@ -47,19 +47,22 @@ __all__ = [
 ]
 
 _EXACT_SIGMA_CAP = 20  # 2^20 sign patterns is the largest exhaustive mode
+_SUBSET_FAMILY_CAP = 10**6  # largest sparse subset family enumerated
+# Rank cut of hat_matrix and of every subset basis: singular values at or
+# below this times the largest count as zero.
+_RANK_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class FiniteClassSpec:
-    """Finite base class of atom-indexed functions, optionally star-hulled.
+    """Star hull of a finite base class of atom-indexed functions.
 
     ``base`` has shape (k, s): row j is the value table of function j over
-    the s support atoms. With ``star_hull`` set, suprema range over
+    the s support atoms. Suprema range over the star hull
     {lam * h : h in base, lam in [0, 1]}, which always contains zero.
     """
 
     base: np.ndarray
-    star_hull: bool = True
 
     def __post_init__(self) -> None:
         base = np.atleast_2d(np.asarray(self.base, dtype=np.float64))
@@ -91,7 +94,6 @@ class SparseClassSpec:
     features: np.ndarray
     k: int
     gamma: float
-    enumeration_cap: int = 10**6
 
     def __post_init__(self) -> None:
         feats = np.atleast_2d(np.asarray(self.features, dtype=np.float64))
@@ -102,10 +104,10 @@ class SparseClassSpec:
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
         family_size = sum(comb(d, i) for i in range(1, self.k + 1))
-        if family_size > self.enumeration_cap:
+        if family_size > _SUBSET_FAMILY_CAP:
             raise ValueError(
                 f"subset family has {family_size} members, above the cap "
-                f"{self.enumeration_cap}; reduce d or k"
+                f"{_SUBSET_FAMILY_CAP}; reduce d or k"
             )
 
     @property
@@ -162,16 +164,6 @@ def star_hull_sup(
     return j, lam[at_j], values[at_j]
 
 
-def _class_sups(class_spec: FiniteClassSpec, linear: np.ndarray, quad: np.ndarray) -> np.ndarray:
-    """Supremum over the class of linear - quad along the last axis.
-
-    Over the star hull each function h contributes lam*h at its best lam.
-    """
-    if class_spec.star_hull:
-        return star_hull_sup(linear, quad)[2]
-    return np.max(linear - quad, axis=-1)
-
-
 def _draw_moments(
     base: np.ndarray, idx: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -203,7 +195,7 @@ def _per_draw_sups(
     quad = gamma * quad_emp
     if pop_sq is not None:
         quad = quad + gamma * n * pop_sq[None, :]
-    return _class_sups(class_spec, linear, quad) / n
+    return star_hull_sup(linear, quad)[2] / n
 
 
 def offset_complexity_draws(
@@ -247,9 +239,9 @@ def offset_complexity_mc(
 ) -> ComplexityEstimate:
     """Monte-Carlo offset complexity with exact per-draw suprema.
 
-    gamma = 0 degrades to the plain Rademacher average of the (star-hulled)
-    class. Estimates sharing (seed, n, replicates) share draws, so the
-    estimate is pointwise nonincreasing in gamma, not merely on average.
+    gamma = 0 degrades to the plain Rademacher average of the star hull.
+    Estimates sharing (seed, n, replicates) share draws, so the estimate is
+    pointwise nonincreasing in gamma, not merely on average.
     """
     vals = offset_complexity_draws(dist, class_spec, gamma, n, replicates, seed)
     return _mc_estimate(vals, gamma, "offset")
@@ -278,6 +270,9 @@ def empirical_offset_complexity(
         raise ValueError("gamma must be nonnegative")
     idx = np.asarray(sample_x, dtype=np.int64).ravel()
     n = idx.size
+    s = class_spec.base.shape[1]
+    if idx.min() < 0 or idx.max() >= s:
+        raise ValueError(f"atom ids must lie in [0, {s})")
     if exact:
         if n > _EXACT_SIGMA_CAP:
             raise ValueError(f"exact sign enumeration is capped at n = {_EXACT_SIGMA_CAP}")
@@ -290,8 +285,7 @@ def empirical_offset_complexity(
     h_at = class_spec.base[:, idx]  # (k, n)
     linear = signs @ h_at.T
     quad = np.broadcast_to(gamma * np.sum(h_at**2, axis=1), linear.shape)
-    estimate = _mc_estimate(_class_sups(class_spec, linear, quad) / n, gamma,
-                            "empirical_offset")
+    estimate = _mc_estimate(star_hull_sup(linear, quad)[2] / n, gamma, "empirical_offset")
     return replace(estimate, std_error=0.0) if exact else estimate
 
 
@@ -350,8 +344,6 @@ def local_complexity_fixed_point(
     crossing is unique. The reported std_error is the Monte-Carlo standard
     error of phi at the returned radius.
     """
-    if not class_spec.star_hull:
-        raise ValueError("fixed-point computation requires a star-shaped class")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     S, pop_sq = local_sup_stats(dist, class_spec, n, mc_replicates, seed)
@@ -390,17 +382,17 @@ def local_complexity_fixed_point(
     )
 
 
-def hat_matrix(columns: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
+def hat_matrix(columns: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the column space of the given matrix.
 
-    Built from an SVD basis; singular values below rel_tol times the largest
-    are treated as zero (rank-revealing cut).
+    Built from an SVD basis; singular values at or below 1e-10 times the
+    largest are treated as zero (rank-revealing cut).
     """
     columns = np.atleast_2d(np.asarray(columns, dtype=np.float64))
     u, sv, _ = np.linalg.svd(columns, full_matrices=False)
     if sv.size == 0 or sv[0] == 0.0:
         return np.zeros((columns.shape[0], columns.shape[0]))
-    keep = sv > rel_tol * sv[0]
+    keep = sv > _RANK_REL_TOL * sv[0]
     basis = u[:, keep]
     return basis @ basis.T
 
@@ -456,7 +448,7 @@ def _build_subset_bases(features: np.ndarray, k: int) -> tuple[np.ndarray, np.nd
             cols = features[:, members[lo : lo + chunk]].transpose(1, 0, 2)
             u, sv, _ = np.linalg.svd(cols, full_matrices=False)
             # Same rank cut as hat_matrix; an all-zero subset keeps nothing.
-            keep = sv > 1e-10 * sv[:, :1]
+            keep = sv > _RANK_REL_TOL * sv[:, :1]
             block = u.transpose(0, 2, 1)[keep]
             rows[filled : filled + block.shape[0]] = block
             filled += block.shape[0]

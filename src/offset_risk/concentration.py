@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexity import FiniteClassSpec, _draw_moments, star_hull_sup
+from .complexity import FiniteClassSpec, _draw_moments, _std_error, star_hull_sup
 from .model import DiscreteDistribution, replicate_draws, rng_stream
 
 __all__ = [
@@ -44,6 +44,9 @@ __all__ = [
     "tail_verify",
 ]
 
+# Slack of the self-localization inequality B(h_max) <= U, per draw.
+_SELF_LOC_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class MultiplierSetup:
@@ -51,10 +54,10 @@ class MultiplierSetup:
 
     ``joint`` reuses the discrete-distribution container with the atom's y
     value playing the role of the multiplier; ``class_spec`` holds the value
-    tables of the base functions over the same atoms, and must be
-    star-hulled. The scale constants are computed from the data, never
-    asserted: ``kappa`` is the largest |h| over positive-probability atoms,
-    ``multiplier_bound`` the largest |zeta| there, and
+    tables of the base functions over the same atoms, whose star hull the
+    supremum ranges over. The scale constants are computed from the data,
+    never asserted: ``kappa`` is the largest |h| over positive-probability
+    atoms, ``multiplier_bound`` the largest |zeta| there, and
 
         eta = 8 * (multiplier_bound^2 / gamma + gamma * kappa^2).
     """
@@ -69,8 +72,6 @@ class MultiplierSetup:
     def __post_init__(self) -> None:
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
-        if not self.class_spec.star_hull:
-            raise ValueError("multiplier suprema are defined over star hulls")
         if self.class_spec.base.shape[1] != self.joint.size:
             raise ValueError("class value tables must match the joint support size")
         live = self.joint.probs > 0
@@ -150,7 +151,7 @@ def self_localization_check(
     """Verify B(h_max) <= U exactly on one sample; returns (holds, margin)."""
     res = multiplier_sup(setup, atom_ids)
     margin = res.value - res.quad_at_max
-    return margin >= -1e-10, margin
+    return margin >= -_SELF_LOC_TOL, margin
 
 
 def simulate_sup_draws(
@@ -202,31 +203,26 @@ def mgf_verify(
     setup: MultiplierSetup,
     n: int,
     replicates: int,
-    lambda_points: np.ndarray | None = None,
     seed: int = 0,
     bootstrap_resamples: int = 1000,
 ) -> ConcentrationReport:
     """One-sided empirical check of the sub-gamma MGF bound for U.
 
-    The lambda grid defaults to eight points in (0, 1/(2 eta)]; anything at
-    or beyond 1/eta is rejected outright. A grid point counts as a violation
-    only when the bootstrap lower confidence bound of the empirical log-MGF
-    exceeds the theoretical curve lam^2 eta E_hat[U] / (2 (1 - eta lam)).
-    MGF estimates near the 1/eta pole are heavy-tailed, which is why the
-    default grid stays at half the admissible range.
+    The lambda grid is eight evenly spaced points in [1/(16 eta), 1/(2 eta)].
+    A grid point counts as a violation only when the bootstrap lower
+    confidence bound of the empirical log-MGF exceeds the theoretical curve
+    lam^2 eta E_hat[U] / (2 (1 - eta lam)). MGF estimates near the 1/eta
+    pole are heavy-tailed, which is why the grid stays at half the
+    admissible range.
     """
     if replicates < 1000:
         raise ValueError("use at least 1000 replicates for MGF estimation")
     eta = setup.eta
-    if lambda_points is None:
-        lambda_points = np.linspace(1.0 / (16.0 * eta), 1.0 / (2.0 * eta), 8)
-    lambdas = np.asarray(lambda_points, dtype=np.float64).ravel()
-    if np.any(lambdas <= 0) or np.any(lambdas >= 1.0 / eta):
-        raise ValueError("lambda grid must lie in (0, 1/eta)")
+    lambdas = np.linspace(1.0 / (16.0 * eta), 1.0 / (2.0 * eta), 8)
     sups, quad_at_max = simulate_sup_draws(setup, n, replicates, seed)
-    failures = int(np.sum(quad_at_max > sups + 1e-10))
+    failures = int(np.sum(quad_at_max > sups + _SELF_LOC_TOL))
     mean_sup = float(sups.mean())
-    mean_se = float(sups.std(ddof=1) / np.sqrt(replicates))
+    mean_se = _std_error(sups)
     centered = sups - mean_sup
     log_mgf = np.array([np.log(np.mean(np.exp(lam * centered))) for lam in lambdas])
     lower, upper = _bootstrap_log_mgf(sups, lambdas, bootstrap_resamples, seed)
@@ -259,6 +255,8 @@ def tail_verify(
     delta plus three binomial standard errors at that delta.
     """
     deltas = np.asarray(delta_grid, dtype=np.float64).ravel()
+    if not np.all((deltas > 0) & (deltas <= 1)):
+        raise ValueError("every delta must lie in (0, 1]")
     sups, _ = simulate_sup_draws(setup, n, replicates, seed)
     mean_sup = float(sups.mean())
     thresholds = 2.0 * mean_sup + 1.5 * setup.eta * np.log(1.0 / deltas)

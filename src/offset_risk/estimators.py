@@ -322,7 +322,6 @@ def mirror_descent(
     mirror_map: str = "euclidean",
     epsilon: float = 1e-2,
     step: float = 1e-3,
-    t_max: float | None = None,
 ) -> MirrorDescentTrace:
     """Integrate the mirror flow on the empirical risk and stop early.
 
@@ -342,9 +341,9 @@ def mirror_descent(
 
     which is the exact per-step slack in the continuous-time descent
     identity; every discrete statement about the run holds up to the sum of
-    these terms. Without an explicit ``t_max``, the horizon is
-    2 (D(w*, w0) + excess) / epsilon plus one step, the continuous-time stop
-    guarantee widened by the measured discretization error.
+    these terms. The horizon is 2 (D(w*, w0) + excess) / epsilon plus one
+    step, the continuous-time stop guarantee widened by the measured
+    discretization error.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -392,13 +391,8 @@ def mirror_descent(
     if delta_path[0][1] <= epsilon:
         t_star = 0.0
 
-    def horizon() -> float:
-        if t_max is not None:
-            return t_max
-        return 2.0 * (d0 + excess) / epsilon + step
-
     diverged = False
-    while t_star is None and t < horizon():
+    while t_star is None and t < 2.0 * (d0 + excess) / epsilon + step:
         g = grad_risk(w)
         theta = theta - step * g
         with np.errstate(over="raise"):

@@ -74,12 +74,12 @@ def _provenance(config: ExperimentConfig) -> dict:
 
 
 def _instance_class(config: ExperimentConfig):
-    """Recentered dictionary class (rows minus the best row), star-hulled."""
+    """Star hull of the recentered dictionary (rows minus the best row)."""
     dist, dictionary = resolve_instance(config)
     loss = squared_loss(dist.b)
     ref = population_minimizer(dist, loss, dictionary)
     base = dictionary.values - dictionary.values[ref.gstar_index][None, :]
-    return dist, dictionary, ref, FiniteClassSpec(base=base, star_hull=True)
+    return dist, dictionary, ref, FiniteClassSpec(base=base)
 
 
 def _cmd_aggregate(config: ExperimentConfig, out: Path, formats: list[str]) -> int:

@@ -105,18 +105,15 @@ def write_svg(
     series: dict[str, tuple[Sequence[float], Sequence[float]]],
     title: str,
     provenance: dict | None = None,
-    log_x: bool = False,
-    log_y: bool = False,
-    width: int = 640,
-    height: int = 480,
+    log_log: bool = False,
 ) -> Path:
-    """Minimal line plot: one polyline per series, legend, corner ticks."""
+    """Minimal 640x480 line plot: one polyline per series, legend, corner ticks."""
     path = Path(path)
-    margin = 60.0
+    width, height, margin = 640, 480, 60.0
     xs_all = np.concatenate([np.asarray(x, dtype=float) for x, _ in series.values()])
     ys_all = np.concatenate([np.asarray(y, dtype=float) for _, y in series.values()])
-    tx_all = _axis_transform(xs_all, log_x)
-    ty_all = _axis_transform(ys_all, log_y)
+    tx_all = _axis_transform(xs_all, log_log)
+    ty_all = _axis_transform(ys_all, log_log)
     x_lo, x_hi = float(tx_all.min()), float(tx_all.max())
     y_lo, y_hi = float(ty_all.min()), float(ty_all.max())
     x_span = (x_hi - x_lo) or 1.0
@@ -139,8 +136,8 @@ def write_svg(
         f'stroke="black"/>',
     ]
     for i, (name, (xs, ys)) in enumerate(series.items()):
-        tx = _axis_transform(np.asarray(xs, dtype=float), log_x)
-        tyv = _axis_transform(np.asarray(ys, dtype=float), log_y)
+        tx = _axis_transform(np.asarray(xs, dtype=float), log_log)
+        tyv = _axis_transform(np.asarray(ys, dtype=float), log_log)
         pts = " ".join(
             f"{px:.2f},{py:.2f}" for px, py in (to_px(a, b) for a, b in zip(tx, tyv))
         )
@@ -154,14 +151,14 @@ def write_svg(
         )
     for corner, anchor in (((x_lo, y_lo), "start"), ((x_hi, y_lo), "end")):
         px, py = to_px(*corner)
-        label = f"{10 ** corner[0]:.4g}" if log_x else f"{corner[0]:.4g}"
+        label = f"{10 ** corner[0]:.4g}" if log_log else f"{corner[0]:.4g}"
         parts.append(
             f'<text x="{px}" y="{height - margin + 18}" text-anchor="{anchor}" '
             f'font-size="11">{label}</text>'
         )
     for yv in (y_lo, y_hi):
         px, py = to_px(x_lo, yv)
-        label = f"{10 ** yv:.4g}" if log_y else f"{yv:.4g}"
+        label = f"{10 ** yv:.4g}" if log_log else f"{yv:.4g}"
         parts.append(
             f'<text x="{margin - 6}" y="{py + 4}" text-anchor="end" font-size="11">'
             f"{label}</text>"
@@ -199,8 +196,7 @@ def emit_outputs(
                 svg_series,
                 svg_title or basename,
                 provenance,
-                log_x=svg_log_log,
-                log_y=svg_log_log,
+                log_log=svg_log_log,
             )
         )
     return written

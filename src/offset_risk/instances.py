@@ -45,41 +45,36 @@ def random_instance(
     )
 
 
-def random_star_class(
-    rng: np.random.Generator,
-    max_atoms: int = 12,
-    max_base: int = 6,
-    scale: float = 1.0,
-) -> tuple[DiscreteDistribution, FiniteClassSpec]:
-    """A random atom law together with a star-hulled finite class over it."""
-    s = int(rng.integers(2, max_atoms + 1))
-    k = int(rng.integers(1, max_base + 1))
+def random_star_class(rng: np.random.Generator) -> tuple[DiscreteDistribution, FiniteClassSpec]:
+    """A random law on 2 to 12 atoms with the star hull of 1 to 6 functions over it.
+
+    Function values are uniform on [-1, 1].
+    """
+    s = int(rng.integers(2, 13))
+    k = int(rng.integers(1, 7))
     xs = np.arange(s, dtype=np.float64)[:, None]
     ys = np.zeros(s)
     probs = _normalized_probs(rng, s)
-    base = rng.uniform(-scale, scale, size=(k, s))
-    dist = DiscreteDistribution(xs=xs, ys=ys, probs=probs, b=max(scale, 1.0))
-    return dist, FiniteClassSpec(base=base, star_hull=True)
+    base = rng.uniform(-1.0, 1.0, size=(k, s))
+    dist = DiscreteDistribution(xs=xs, ys=ys, probs=probs, b=1.0)
+    return dist, FiniteClassSpec(base=base)
 
 
-def random_multiplier_setup(
-    rng: np.random.Generator,
-    max_atoms: int = 8,
-    max_base: int = 4,
-    gamma: float | None = None,
-) -> MultiplierSetup:
-    """A random joint (atom, multiplier) law with a star-hulled class.
+def random_multiplier_setup(rng: np.random.Generator) -> MultiplierSetup:
+    """A random joint (atom, multiplier) law on 2 to 8 atoms, 1 to 4 base functions.
 
     The multiplier is an arbitrary deterministic function of the atom, so
     genuinely dependent joints are covered; product laws arise as the special
     case where atoms replicate feature points across multiplier values.
+    Multipliers are uniform on [-1.5, 1.5], function values on [-1, 1] and
+    gamma on [0.1, 2].
     """
-    s = int(rng.integers(2, max_atoms + 1))
-    k = int(rng.integers(1, max_base + 1))
+    s = int(rng.integers(2, 9))
+    k = int(rng.integers(1, 5))
     zeta = rng.uniform(-1.5, 1.5, size=s)
     probs = _normalized_probs(rng, s)
     base = rng.uniform(-1.0, 1.0, size=(k, s))
-    g = float(rng.uniform(0.1, 2.0)) if gamma is None else gamma
+    g = float(rng.uniform(0.1, 2.0))
     joint = DiscreteDistribution(
         xs=np.arange(s, dtype=np.float64)[:, None],
         ys=zeta,
@@ -89,25 +84,21 @@ def random_multiplier_setup(
     return MultiplierSetup(joint=joint, class_spec=FiniteClassSpec(base=base), gamma=g)
 
 
-def rate_study_instance(
-    n_features: int = 8,
-    n_scales: int = 11,
-    coarsest: float = 0.55,
-    ratio: float = 0.70710678118654752,
-    noise: float = 0.5,
-    pattern_seed: int = 20240217,
-) -> tuple[DiscreteDistribution, Dictionary]:
+def rate_study_instance() -> tuple[DiscreteDistribution, Dictionary]:
     """Multi-resolution dictionary-contains-truth instance for rate studies.
 
     The regression function is the zero row of the dictionary; observations
-    are +-noise around it. The remaining rows sit at geometrically spaced
-    distances from the truth, so that at every sample size in a dyadic grid
-    there are candidate rows whose squared distance is comparable to 1/n.
-    That keeps the deviation quantiles of aggregation estimators decaying at
-    the 1/n rate across the whole grid instead of collapsing to zero once the
-    gap at a single scale is resolved.
+    are +-0.5 around it, at 8 equally likely features. The remaining 11 rows
+    are random sign patterns over the features (pattern seed 20240217) with
+    amplitudes 0.55 * 2^(-k/2), k = 0..10, so at every sample size in a
+    dyadic grid there are candidate rows whose squared distance is comparable
+    to 1/n. That keeps the deviation quantiles of aggregation estimators
+    decaying at the 1/n rate across the whole grid instead of collapsing to
+    zero once the gap at a single scale is resolved.
     """
-    rng = np.random.default_rng(pattern_seed)
+    n_features, n_scales, noise = 8, 11, 0.5
+    coarsest, ratio = 0.55, 0.70710678118654752
+    rng = np.random.default_rng(20240217)
     b = 1.0
     xs = np.repeat(np.arange(n_features, dtype=np.float64), 2)[:, None]
     ys = np.tile([noise, -noise], n_features)

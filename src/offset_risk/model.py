@@ -120,6 +120,9 @@ class DiscreteDistribution:
             raise ValueError("xs, ys and probs must agree on the number of atoms")
         if ys.shape[0] == 0:
             raise ValueError("support must be nonempty")
+        for name, arr in (("xs", xs), ("ys", ys), ("probs", probs)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
         if not np.isfinite(self.b) or self.b <= 0:
             raise ValueError("range bound b must be a positive real")
         if np.any(probs < 0):
@@ -183,6 +186,8 @@ class Dictionary:
             raise ValueError("dictionary must contain at least one function")
         if not np.isfinite(self.b) or self.b <= 0:
             raise ValueError("dictionary bound b must be positive")
+        if not np.isfinite(vals).all():
+            raise ValueError("dictionary values must be finite")
         if np.any(np.abs(vals) > self.b + 1e-15):
             raise ValueError("dictionary values must be bounded by b in absolute value")
         object.__setattr__(self, "values", _freeze(vals))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .complexity import _lowest_best
 from .model import (
     Dictionary,
     DiscreteDistribution,
@@ -53,7 +54,7 @@ class RiskValue:
 
 @dataclass(frozen=True)
 class ReferenceSolution:
-    """Lowest-index population risk minimizer over the dictionary rows."""
+    """Population risk minimizer over the dictionary rows; ties to the lowest index."""
 
     gstar_index: int
     gstar_risk: float
@@ -124,10 +125,10 @@ def _row_population_risks(
 def population_minimizer(
     dist: DiscreteDistribution, loss: LossSpec, dictionary: Dictionary
 ) -> ReferenceSolution:
-    """Best dictionary row by exact risk; ties resolved to the lowest index."""
+    """Best dictionary row by exact risk; ties: lowest index within relative 1e-12."""
     dictionary.validate_for(dist)
     risks = _row_population_risks(dist, loss, dictionary)
-    j = int(np.argmin(risks))  # np.argmin returns the first minimizer
+    j = int(_lowest_best(risks))
     return ReferenceSolution(gstar_index=j, gstar_risk=float(risks[j]))
 
 

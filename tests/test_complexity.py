@@ -7,7 +7,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from offset_risk import complexity
@@ -195,6 +195,8 @@ class TestStarHullSup:
 
     @settings(max_examples=60, deadline=None)
     @given(coefficient_rows())
+    # Column 0 is within relative 1e-12 of column 2's maximum, so it wins.
+    @example(coeffs=(np.array([[0.999999999999998, -0.5, 1.0]]), np.array([[0.5, 0.0, 0.5]])))
     def test_rows_agree_with_single_row_calls_and_grid(self, coeffs):
         linear, quad = coeffs
         j, lam, value = star_hull_sup(linear, quad)
@@ -207,10 +209,11 @@ class TestStarHullSup:
             # The value is the supremum over lam in [0, 1], within grid error.
             grid_best = max(np.max(lams * a - lams**2 * b) for a, b in zip(linear[r], quad[r]))
             assert abs(value[r] - grid_best) <= 1e-9
-            # The argmax is the lowest column that attains the value.
-            per_column = [float(star_hull_sup(linear[r, h:h + 1], quad[r, h:h + 1])[2])
-                          for h in range(linear.shape[1])]
-            assert j[r] == per_column.index(max(per_column))
+            # The argmax is the lowest column within relative 1e-12 of the best.
+            per_column = np.array([float(star_hull_sup(linear[r, h:h + 1], quad[r, h:h + 1])[2])
+                                   for h in range(linear.shape[1])])
+            best = per_column.max()
+            assert j[r] == np.flatnonzero(per_column >= best - 1e-12 * abs(best))[0]
             assert value[r] == per_column[j[r]]
 
 
@@ -282,6 +285,12 @@ class TestEmpiricalOffsetComplexity:
         mc = empirical_offset_complexity(sample_x, spec, 0.6, 100_000, seed=13)
         assert abs(mc.value - exact.value) <= 4.0 * mc.std_error
 
+    @pytest.mark.parametrize("ids", [[-1, 0], [3, 0]])
+    def test_atom_ids_outside_support_rejected(self, ids):
+        spec = FiniteClassSpec(base=np.random.default_rng(5).uniform(-1, 1, size=(2, 3)))
+        with pytest.raises(ValueError, match="atom ids"):
+            empirical_offset_complexity(ids, spec, 0.5, 10, seed=0)
+
     def test_exact_mode_cap(self):
         spec = FiniteClassSpec(base=np.ones((1, 2)))
         with pytest.raises(ValueError, match="capped"):
@@ -311,12 +320,6 @@ class TestLocalFixedPoint:
         est = local_complexity_fixed_point(dist, spec, 1.0, n=6, mc_replicates=64,
                                            r_tol=1e-6, seed=0)
         assert est.value == 0.0
-
-    def test_requires_star_hull(self):
-        dist = uniform_dist(4)
-        spec = FiniteClassSpec(base=np.ones((1, 4)), star_hull=False)
-        with pytest.raises(ValueError, match="star"):
-            local_complexity_fixed_point(dist, spec, 1.0, 6, 64, 1e-6, 0)
 
     def test_single_function_matches_grid_scan(self):
         # For one base function the curve is min(1, sqrt(r / (g v))) * K with
@@ -489,9 +492,11 @@ class TestSparseOffset:
         assert np.sum(H * H) == pytest.approx(1.0, abs=1e-10)
 
     def test_enumeration_cap(self):
+        # C(50, 1) + ... + C(50, 4) = 251,175 subsets stay under the 10^6 cap;
+        # adding the C(50, 5) = 2,118,760 five-subsets goes over it.
+        SparseClassSpec(features=np.zeros((4, 50)), k=4, gamma=1.0)
         with pytest.raises(ValueError, match="cap"):
-            SparseClassSpec(features=np.zeros((4, 50)), k=10, gamma=1.0,
-                            enumeration_cap=1000)
+            SparseClassSpec(features=np.zeros((4, 50)), k=5, gamma=1.0)
 
     def test_bound_check_ratio_definition(self):
         rng = np.random.default_rng(20)

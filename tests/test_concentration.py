@@ -233,14 +233,18 @@ class TestMgfVerify:
         second_diff = np.diff(report.log_mgf, n=2)
         assert np.all(second_diff >= -1e-10)
 
-    def test_lambda_grid_validation(self):
+    def test_replicate_floor(self):
         rng = np.random.default_rng(9)
         setup = random_multiplier_setup(rng)
-        with pytest.raises(ValueError, match="lambda"):
-            mgf_verify(setup, n=4, replicates=1000,
-                       lambda_points=np.array([1.5 / setup.eta]), seed=0)
         with pytest.raises(ValueError, match="replicates"):
             mgf_verify(setup, n=4, replicates=10, seed=0)
+
+    def test_fixed_lambda_grid(self):
+        rng = np.random.default_rng(9)
+        setup = random_multiplier_setup(rng)
+        report = mgf_verify(setup, n=4, replicates=1000, seed=0, bootstrap_resamples=20)
+        expected = np.linspace(1.0 / (16.0 * setup.eta), 1.0 / (2.0 * setup.eta), 8)
+        np.testing.assert_array_equal(report.lambda_grid, expected)
 
 
 class TestTailVerify:
@@ -249,6 +253,13 @@ class TestTailVerify:
         setup = random_multiplier_setup(rng)
         report = tail_verify(setup, n=5, replicates=500, delta_grid=np.array([1.0]), seed=0)
         assert report.holds and report.exceed_freq[0] <= 1.0
+
+    @pytest.mark.parametrize("deltas", [[1.5, 0.0], [0.1, -0.2], [np.nan]])
+    def test_deltas_outside_unit_interval_rejected(self, deltas):
+        rng = np.random.default_rng(10)
+        setup = random_multiplier_setup(rng)
+        with pytest.raises(ValueError, match="delta"):
+            tail_verify(setup, n=5, replicates=500, delta_grid=np.array(deltas), seed=0)
 
     def test_zero_class_never_exceeds(self):
         setup = make_setup([1.0, -1.0], [0.5, 0.5], np.zeros((1, 2)), gamma=0.5)

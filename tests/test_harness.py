@@ -173,8 +173,7 @@ class TestOutputs:
             {"alpha": ([1, 2, 4], [1.0, 0.5, 0.25]), "beta": ([1, 2, 4], [2.0, 1.0, 0.5])},
             title="test",
             provenance={"seed": 3},
-            log_x=True,
-            log_y=True,
+            log_log=True,
         )
         text = p.read_text()
         assert text.count("<polyline") == 2
@@ -368,6 +367,17 @@ class TestCli:
         assert err.startswith("config error: ") and "instance" in err
         assert list(tmp_path.iterdir()) == [path]
 
+    def test_nan_in_instance_file_exits_2(self, tmp_path, capsys):
+        ipath = tmp_path / "inst.json"
+        ipath.write_text('{"atoms": [{"x": [0.0], "y": NaN}], "probs": [1.0], "b": 1.0, '
+                         '"dictionary": [[0.0]]}')
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"instance": str(ipath)}))
+        assert cli.main(["aggregate", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "ys must be finite" in err
+        assert sorted(tmp_path.iterdir()) == [path, ipath]
+
     def test_bad_format_rejected(self, tmp_path):
         res = self.run_cli("aggregate", "--format", "pdf", "--out", str(tmp_path))
         assert res.returncode == 2
@@ -400,10 +410,11 @@ class TestCli:
         assert "not reached" not in capsys.readouterr().out
 
         real_mirror = cli.mirror_descent
-        # A one-step horizon stops the run before delta falls below epsilon.
+        # A run that ends before delta falls below epsilon has no t*.
         monkeypatch.setattr(
             cli, "mirror_descent",
-            lambda *a, **kw: real_mirror(*a, t_max=kw["step"], **kw),
+            lambda *a, **kw: dataclasses.replace(real_mirror(*a, **kw), t_star=None,
+                                                 offset=None),
         )
         assert cli.main(argv) == 1
         assert "t* = not reached" in capsys.readouterr().out

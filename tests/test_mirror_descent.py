@@ -139,13 +139,6 @@ class TestValidationAndFailure:
             mirror_descent(sample, dist, LOSS, [0.0], [1.0], epsilon=1e-12, step=5.0)
         assert err.value.trace.w_path  # partial trajectory is recoverable
 
-    def test_explicit_horizon_can_cut_run_short(self):
-        dist, sample = scalar_instance()
-        trace = mirror_descent(
-            sample, dist, LOSS, [0.0], [1.0], epsilon=1e-6, step=1e-3, t_max=0.01
-        )
-        assert trace.t_star is None and trace.offset is None
-
     def test_step_and_epsilon_validation(self):
         dist, sample = scalar_instance()
         with pytest.raises(ValueError):

@@ -69,6 +69,19 @@ class TestDistributionValidation:
         with pytest.raises(ValueError, match="bounded"):
             DiscreteDistribution(xs=[[0.0]], ys=[2.0], probs=[1.0], b=1.0)
 
+    @pytest.mark.parametrize("field, xs, ys, probs", [
+        ("xs", [[np.inf], [1.0]], [0.0, 0.0], [0.5, 0.5]),
+        ("ys", [[0.0], [1.0]], [np.nan, 0.0], [0.5, 0.5]),
+        ("probs", [[0.0], [1.0]], [0.0, 0.0], [np.nan, 1.0]),
+    ])
+    def test_non_finite_fields_rejected(self, field, xs, ys, probs):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            DiscreteDistribution(xs=xs, ys=ys, probs=probs, b=1.0)
+
+    def test_non_finite_bound_rejected(self):
+        with pytest.raises(ValueError, match="range bound b"):
+            DiscreteDistribution(xs=[[0.0]], ys=[0.0], probs=[1.0], b=np.nan)
+
     def test_empty_support_rejected(self):
         with pytest.raises(ValueError):
             DiscreteDistribution(xs=np.zeros((0, 1)), ys=[], probs=[], b=1.0)
@@ -231,6 +244,16 @@ class TestInstanceJson:
             doc["atoms"] = atoms
             with pytest.raises(ValueError, match="atom"):
                 load_instance(doc)
+
+    def test_non_finite_dictionary_value_rejected(self):
+        with pytest.raises(ValueError, match="dictionary values must be finite"):
+            Dictionary(values=[[0.5, np.nan]], b=1.0)
+
+    def test_nan_literal_in_document_rejected(self):
+        doc = json.loads(json.dumps(self.doc()).replace("0.75", "NaN"))
+        assert np.isnan(doc["probs"][1])
+        with pytest.raises(ValueError, match="probs must be finite"):
+            load_instance(doc)
 
     def test_dictionary_width_checked(self):
         doc = self.doc()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from offset_risk.estimators import erm
 from offset_risk.model import (
     DiscreteDistribution,
     Dictionary,
@@ -106,6 +107,17 @@ class TestPopulationMinimizer:
         dist, _ = constant_predictor_setup()
         dictionary = Dictionary(values=[[0.5, 0.5], [-0.5, -0.5]], b=1.0)
         assert population_minimizer(dist, LOSS, dictionary).gstar_index == 0
+
+    def test_near_tie_follows_the_erm_rule(self):
+        # Risks 0.25 + 1e-14 and 0.25 are within relative 1e-12: row 0 wins,
+        # as it does for erm on any sample.
+        dist = DiscreteDistribution(xs=[[0.0]], ys=[0.0], probs=[1.0], b=1.0)
+        dictionary = Dictionary(values=[[0.5 + 1e-14], [0.5]], b=1.0)
+        assert population_minimizer(dist, LOSS, dictionary).gstar_index == 0
+        sample = Sample(indices=[0, 0, 0])
+        pn = empirical_measure(sample, dist)
+        assert population_minimizer(pn, LOSS, dictionary).gstar_index == erm(
+            sample, dist, LOSS, dictionary)
 
 
 class TestExcessRisk:
