@@ -305,7 +305,7 @@ def local_sup_stats(
     if class_spec.base.shape[1] != dist.size:
         raise ValueError("class value tables must match the support size")
     idx, signs = replicate_draws(seed, "local-complexity", replicates, n, dist, signs=True)
-    S = _draw_moments(class_spec.base, idx, signs)[0] / n
+    S = (_atom_counts(idx, dist.size, signs) @ class_spec.base.T) / n
     pop_sq = (class_spec.base**2) @ dist.probs
     return S, pop_sq
 

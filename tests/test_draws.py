@@ -1,4 +1,5 @@
-"""Keyed draw layer: block draws against the one-stream-per-replicate loop."""
+"""Keyed draw layer: block draws against the one-stream-per-replicate loop,
+and the inverse CDF against a plain binary search."""
 
 from unittest import mock
 
@@ -115,4 +116,64 @@ def test_uniform_past_the_cdf_goes_to_the_last_positive_atom():
     dist = DiscreteDistribution(
         xs=[[0.0], [1.0], [2.0]], ys=[0.0, 0.0, 0.0], probs=[0.5, 0.5 - 1e-13, 0.0], b=1.0
     )
-    assert draw_atom_ids(dist, 3, _LastUniformRng()).tolist() == [1, 1, 1]
+    for n in (3, model._GUIDE_MIN_UNIFORMS + 1):  # binary search, guide table
+        assert draw_atom_ids(dist, n, _LastUniformRng()).tolist() == [1] * n
+
+
+def search_ids(dist, u):
+    """The reference inverse CDF: one binary search, capped at the last positive atom."""
+    return np.minimum(np.searchsorted(dist._cum_probs, u, side="right"), dist._last_atom)
+
+
+@st.composite
+def laws(draw):
+    """Laws on 1 to a few hundred atoms with zero, tiny and clustered probabilities."""
+    weight = st.one_of(st.just(0.0), st.floats(1e-9, 1e-6), st.floats(1e-3, 1.0))
+    weights = draw(st.lists(weight, min_size=1, max_size=250))
+    cluster = [draw(st.floats(1e-9, 1e-7))] * draw(st.integers(0, 12))
+    at = draw(st.integers(0, len(weights)))
+    weights[at:at] = cluster  # several thresholds within one bucket
+    lead, trail = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    w = np.array([0.0] * lead + weights + [draw(st.floats(1e-3, 1.0))] + [0.0] * trail)
+    probs = w / w.sum()
+    probs[np.flatnonzero(probs)[-1]] += draw(st.sampled_from([0.0, 1e-13, -1e-13]))
+    s = probs.size
+    return DiscreteDistribution(xs=np.arange(s)[:, None], ys=np.zeros(s), probs=probs, b=1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dist=laws(), seed=st.integers(0, 2**32 - 1))
+def test_atom_ids_match_the_binary_search(dist, seed):
+    cum = dist._cum_probs
+    edges = np.concatenate([[0.0, 1.0 - 2.0**-53], cum, np.nextafter(cum, 0.0),
+                            np.nextafter(cum, 2.0)])
+    edges = edges[(edges >= 0.0) & (edges < 1.0)]
+    size = 2 * model._GUIDE_MIN_UNIFORMS + 2 * edges.size
+    u = np.random.default_rng(seed).random(size)
+    u[::2][: edges.size] = edges
+    u[1::2][: edges.size] = edges[::-1]
+    want = search_ids(dist, u)
+    for shape in ((size,), (2, size // 2)):  # the (rows, n) blocks of replicate_draws
+        got = model._atom_ids(dist, u.reshape(shape))
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got.ravel(), want)
+    assert dist._guide is not None
+    for part in np.array_split(u, 4 * size // model._GUIDE_MIN_UNIFORMS + 1):
+        assert part.size < model._GUIDE_MIN_UNIFORMS
+        np.testing.assert_array_equal(model._atom_ids(dist, part), search_ids(dist, part))
+
+
+def test_guide_table_is_built_once_per_distribution_and_only_for_large_draws():
+    dist = DISTS[2]
+    fresh = DiscreteDistribution(xs=dist.xs, ys=dist.ys, probs=dist.probs, b=dist.b)
+    rng = np.random.default_rng(5)
+    draw_atom_ids(fresh, model._GUIDE_MIN_UNIFORMS - 1, rng)
+    replicate_draws(5, "small", 3, 40, fresh)
+    assert fresh._guide is None
+    draw_atom_ids(fresh, model._GUIDE_MIN_UNIFORMS, rng)
+    table = fresh._guide
+    guide, thr, _ = table
+    assert not guide.flags.writeable and not thr.flags.writeable
+    replicate_draws(5, "large", 100, 50, fresh)
+    draw_atom_ids(fresh, 3 * model._GUIDE_MIN_UNIFORMS, rng)
+    assert fresh._guide is table
