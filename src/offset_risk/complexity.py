@@ -20,12 +20,12 @@ per-draw inequalities.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from math import comb, log
 
 import numpy as np
 
-from .model import DiscreteDistribution, _atom_counts, replicate_draws
+from .model import DiscreteDistribution, _atom_counts, _id_array, replicate_draws
 
 __all__ = [
     "FiniteClassSpec",
@@ -60,9 +60,11 @@ class FiniteClassSpec:
     ``base`` has shape (k, s): row j is the value table of function j over
     the s support atoms. Suprema range over the star hull
     {lam * h : h in base, lam in [0, 1]}, which always contains zero.
+    The squared table ``base**2`` is built once and kept, read-only.
     """
 
     base: np.ndarray
+    _base_sq: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         base = np.atleast_2d(np.asarray(self.base, dtype=np.float64))
@@ -70,7 +72,10 @@ class FiniteClassSpec:
             raise ValueError("base class must be nonempty")
         base = np.array(base, copy=True)
         base.flags.writeable = False
+        base_sq = base**2
+        base_sq.flags.writeable = False
         object.__setattr__(self, "base", base)
+        object.__setattr__(self, "_base_sq", base_sq)
 
 
 @dataclass(frozen=True)
@@ -152,7 +157,7 @@ def star_hull_sup(
     quad = np.asarray(quad, dtype=np.float64)
     if linear.shape != quad.shape:
         raise ValueError("linear and quadratic coefficient arrays must align")
-    if (quad < 0).any():
+    if quad.min(initial=0.0) < 0:
         raise ValueError("quadratic coefficients must be nonnegative")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # clip(linear / (2 quad), 0, 1); at quad = 0 the ratio is +-inf, or
@@ -160,12 +165,12 @@ def star_hull_sup(
         lam = np.minimum(np.fmax(linear / (2.0 * quad), 0.0), 1.0)
     values = lam * linear - lam**2 * quad
     j = _lowest_best(values, largest=True)
-    at_j = (*np.indices(j.shape, sparse=True), j)
-    return j, lam[at_j], values[at_j]
+    at_j = np.arange(0, values.size, values.shape[-1]).reshape(j.shape) + j  # flat indices
+    return j, lam.ravel()[at_j], values.ravel()[at_j]
 
 
 def _draw_moments(
-    base: np.ndarray, idx: np.ndarray, weights: np.ndarray
+    class_spec: FiniteClassSpec, idx: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(R, k) sums sum_i w[r, i] h(X_ri) and sum_i h(X_ri)^2 over (R, n) atom ids.
 
@@ -173,8 +178,9 @@ def _draw_moments(
     weighted counts, so memory is O(R s), not the O(R n k) of a gather. Ids
     must lie in [0, s).
     """
-    s = base.shape[1]
-    return _atom_counts(idx, s, weights) @ base.T, _atom_counts(idx, s) @ (base**2).T
+    s = class_spec.base.shape[1]
+    return (_atom_counts(idx, s, weights) @ class_spec.base.T,
+            _atom_counts(idx, s) @ class_spec._base_sq.T)
 
 
 def _per_draw_sups(
@@ -191,7 +197,7 @@ def _per_draw_sups(
     the population penalty is omitted (the sample-conditional variant).
     """
     n = idx.shape[1]
-    linear, quad_emp = _draw_moments(class_spec.base, idx, signs)
+    linear, quad_emp = _draw_moments(class_spec, idx, signs)
     quad = gamma * quad_emp
     if pop_sq is not None:
         quad = quad + gamma * n * pop_sq[None, :]
@@ -213,7 +219,7 @@ def offset_complexity_draws(
     if class_spec.base.shape[1] != dist.size:
         raise ValueError("class value tables must match the support size")
     idx, signs = replicate_draws(seed, "offset-complexity", replicates, n, dist, signs=True)
-    pop_sq = (class_spec.base**2) @ dist.probs if include_population_term else None
+    pop_sq = class_spec._base_sq @ dist.probs if include_population_term else None
     return _per_draw_sups(class_spec, gamma, idx, signs, pop_sq)
 
 
@@ -268,7 +274,7 @@ def empirical_offset_complexity(
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    idx = np.asarray(sample_x, dtype=np.int64).ravel()
+    idx = _id_array(sample_x)
     n = idx.size
     s = class_spec.base.shape[1]
     if idx.min() < 0 or idx.max() >= s:
@@ -306,7 +312,7 @@ def local_sup_stats(
         raise ValueError("class value tables must match the support size")
     idx, signs = replicate_draws(seed, "local-complexity", replicates, n, dist, signs=True)
     S = (_atom_counts(idx, dist.size, signs) @ class_spec.base.T) / n
-    pop_sq = (class_spec.base**2) @ dist.probs
+    pop_sq = class_spec._base_sq @ dist.probs
     return S, pop_sq
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complexity import FiniteClassSpec, _draw_moments, _std_error, star_hull_sup
-from .model import DiscreteDistribution, replicate_draws, rng_stream
+from .model import DiscreteDistribution, _id_array, replicate_draws, rng_stream
 
 __all__ = [
     "MultiplierSetup",
@@ -60,6 +60,9 @@ class MultiplierSetup:
     atoms, ``multiplier_bound`` the largest |zeta| there, and
 
         eta = 8 * (multiplier_bound^2 / gamma + gamma * kappa^2).
+
+    The population moments E[zeta h] and E[h^2] of every base function are
+    computed once here too and kept, read-only, for the supremum kernel.
     """
 
     joint: DiscreteDistribution
@@ -68,6 +71,8 @@ class MultiplierSetup:
     kappa: float = field(init=False)
     multiplier_bound: float = field(init=False)
     eta: float = field(init=False)
+    _mean_cross: np.ndarray = field(init=False, repr=False, compare=False)
+    _mean_sq: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.gamma <= 0:
@@ -78,9 +83,16 @@ class MultiplierSetup:
         kappa = float(np.max(np.abs(self.class_spec.base[:, live])))
         mult = float(np.max(np.abs(self.joint.ys[live])))
         eta = 8.0 * (mult**2 / self.gamma + self.gamma * kappa**2)
+        probs = self.joint.probs
+        mean_cross = (self.class_spec.base * self.zeta[None, :]) @ probs  # E[zeta h]
+        mean_sq = self.class_spec._base_sq @ probs  # E[h^2]
+        mean_cross.flags.writeable = False
+        mean_sq.flags.writeable = False
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "multiplier_bound", mult)
         object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "_mean_cross", mean_cross)
+        object.__setattr__(self, "_mean_sq", mean_sq)
 
     @property
     def zeta(self) -> np.ndarray:
@@ -121,19 +133,16 @@ class TailReport:
 
 def _sup_kernel(setup: MultiplierSetup, idx: np.ndarray) -> tuple[np.ndarray, ...]:
     """(argmax, lam, U) per row of (R, n) atom ids, then the (R, k) tables A and B."""
-    base, probs = setup.class_spec.base, setup.joint.probs
     n = idx.shape[1]
-    mean_cross = (base * setup.zeta[None, :]) @ probs  # E[zeta h]
-    mean_sq = (base**2) @ probs  # E[h^2]
-    cross, quad_emp = _draw_moments(base, idx, setup.zeta[idx])
-    linear = cross - n * mean_cross[None, :]
-    quad = setup.gamma * (n * mean_sq[None, :] + quad_emp)
+    cross, quad_emp = _draw_moments(setup.class_spec, idx, setup.zeta[idx])
+    linear = cross - n * setup._mean_cross[None, :]
+    quad = setup.gamma * (n * setup._mean_sq[None, :] + quad_emp)
     return (*star_hull_sup(linear, quad), linear, quad)
 
 
 def multiplier_sup(setup: MultiplierSetup, atom_ids: np.ndarray) -> MultiplierSupResult:
     """Exact supremum on one sample: the one-row case of the simulate_sup_draws kernel."""
-    idx = np.asarray(atom_ids, dtype=np.int64).reshape(1, -1)
+    idx = _id_array(atom_ids)[None, :]
     best, lam, value, linear, quad = _sup_kernel(setup, idx)
     j, lam = int(best[0]), float(lam[0])
     return MultiplierSupResult(

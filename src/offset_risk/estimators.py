@@ -26,7 +26,6 @@ from .model import (
     LossSpec,
     PredictorWeights,
     Sample,
-    _atom_counts,
     predict_all,
 )
 
@@ -104,13 +103,6 @@ class DivergenceError(RuntimeError):
 _FIT_CHUNK_ELEMENTS = 2**17
 
 
-def _sample_counts(sample: Sample, dist: DiscreteDistribution, dictionary: Dictionary):
-    """(1, s) atom counts of one sample, checked against the support."""
-    dictionary.validate_for(dist)
-    sample.validate_for(dist)
-    return _atom_counts(sample.indices[None, :], dist.size)
-
-
 def _fit_rows(counts: np.ndarray, dist: DiscreteDistribution, loss: LossSpec,
               dictionary: Dictionary, estimator: str, delta: float = 0.05, c1: float = 4.0):
     """Fit ``erm``, ``star`` or ``midpoint`` on every row of (R, s) atom counts.
@@ -172,8 +164,8 @@ def erm(
     sample: Sample, dist: DiscreteDistribution, loss: LossSpec, dictionary: Dictionary
 ) -> int:
     """Index of the row with smallest empirical risk; ties: lowest within relative 1e-12."""
-    counts = _sample_counts(sample, dist, dictionary)
-    return int(_fit_rows(counts, dist, loss, dictionary, "erm")[0][0])
+    dictionary.validate_for(dist)
+    return int(_fit_rows(sample.counts(dist), dist, loss, dictionary, "erm")[0][0])
 
 
 def star(
@@ -188,7 +180,8 @@ def star(
     relative 1e-12. A partner equal to e on the sample takes lam = 1, and
     f = e is always feasible, so the result never does worse than e.
     """
-    counts = _sample_counts(sample, dist, dictionary)
+    dictionary.validate_for(dist)
+    counts = sample.counts(dist)
     e, p, weights, _ = _fit_rows(counts, dist, loss, dictionary, "star")
     w = weights[0]
     return StarSolution(
@@ -223,8 +216,9 @@ def midpoint(
         raise ValueError("delta must lie strictly between 0 and 1")
     if c1 <= 0:
         raise ValueError("c1 must be positive")
-    counts = _sample_counts(sample, dist, dictionary)
-    e, p, weights, near = _fit_rows(counts, dist, loss, dictionary, "midpoint", delta, c1)
+    dictionary.validate_for(dist)
+    e, p, weights, near = _fit_rows(sample.counts(dist), dist, loss, dictionary, "midpoint",
+                                    delta, c1)
     return MidpointSolution(
         erm_index=int(e[0]),
         partner_index=int(p[0]),
@@ -263,11 +257,18 @@ def check_offset(
     """Evaluate the offset inequality for a fitted predictor versus one row.
 
     lhs is R_n(predictor) - R_n(g); quadratic is the averaged empirical
-    square norm (1/n) sum (predictor(X_i) - g(X_i))^2.
+    square norm (1/n) sum (predictor(X_i) - g(X_i))^2; g is row ``gstar_index``,
+    an integer in [0, m).
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    w = _sample_counts(sample, dist, dictionary)[0] / sample.n
+    if (not isinstance(gstar_index, (int, np.integer)) or isinstance(gstar_index, bool)
+            or not 0 <= gstar_index < dictionary.m):
+        raise ValueError(
+            f"gstar_index must be an integer in [0, {dictionary.m}), got {gstar_index!r}"
+        )
+    dictionary.validate_for(dist)
+    w = sample.counts(dist)[0] / sample.n
     pred = predict_all(dictionary, predictor)
     g = dictionary.values[gstar_index]
     risk_gap = float(w @ (loss.eval(pred, dist.ys) - loss.eval(g, dist.ys)))

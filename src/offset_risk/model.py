@@ -162,15 +162,27 @@ class DiscreteDistribution:
         return self.xs.shape[1]
 
 
+def _id_array(ids) -> np.ndarray:
+    """``ids`` as a flat int64 array; ids of a non-integer dtype raise, never truncate.
+
+    The check reads the dtype only, so it costs nothing per id.
+    """
+    arr = np.asarray(ids)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"atom ids must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False).ravel()
+
+
 @dataclass(frozen=True)
 class Sample:
     """Indices of atoms drawn from an owning DiscreteDistribution."""
 
     indices: np.ndarray
     n: int = field(init=False)
+    _counts: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
-        idx = np.asarray(self.indices, dtype=np.int64).ravel()
+        idx = _id_array(self.indices)
         if idx.size < 1:
             raise ValueError("sample size must be at least 1")
         idx = np.array(idx, copy=True)
@@ -181,6 +193,22 @@ class Sample:
     def validate_for(self, dist: DiscreteDistribution) -> None:
         if self.indices.min() < 0 or self.indices.max() >= dist.size:
             raise ValueError("sample contains atom ids outside the support")
+
+    def counts(self, dist: DiscreteDistribution) -> np.ndarray:
+        """Read-only (1, s) counts of the sample's atom ids over the support of ``dist``.
+
+        The ids are checked against ``dist`` and counted on the first call
+        for a support size; the counts are kept on the sample, so later
+        calls with that size return the same array.
+        """
+        counts = self._counts
+        if counts is None or counts.shape[1] != dist.size:
+            self.validate_for(dist)
+            # A copy owns its data: one array per sample, not a view and its base.
+            counts = _atom_counts(self.indices[None, :], dist.size).copy()
+            counts.flags.writeable = False
+            object.__setattr__(self, "_counts", counts)
+        return counts
 
 
 @dataclass(frozen=True)
@@ -458,11 +486,9 @@ def replicate_draws(
         if idx is not None:
             idx[lo:hi] = _atom_ids(dist, (block[:, :n] >> np.uint64(11)) * 2.0**-53)
         if sgn is not None:
-            halves = block[:, first_sign:]
-            bits = np.empty((block.shape[0], 2 * halves.shape[1]), dtype=np.uint64)
-            bits[:, 0::2] = (halves >> np.uint64(31)) & np.uint64(1)
-            bits[:, 1::2] = halves >> np.uint64(63)
-            sgn[lo:hi] = bits[:, :n] * 2.0 - 1.0
+            # As little-endian 32-bit halves, each word's low half comes first.
+            halves = block[:, first_sign:].astype("<u8", copy=False).view("<u4")
+            sgn[lo:hi] = (halves[:, :n] >> 31) * 2.0 - 1.0
     return idx, sgn
 
 

@@ -21,7 +21,6 @@ from .model import (
     LossSpec,
     PredictorWeights,
     Sample,
-    _atom_counts,
     predict_all,
 )
 
@@ -154,9 +153,8 @@ def empirical_measure(sample: Sample, dist: DiscreteDistribution) -> DiscreteDis
     atom-indexed evaluation table valid for the new measure, which is what
     makes the empirical/population duality checks exact.
     """
-    sample.validate_for(dist)
-    counts = _atom_counts(sample.indices[None, :], dist.size)[0]
-    return DiscreteDistribution(xs=dist.xs, ys=dist.ys, probs=counts / sample.n, b=dist.b)
+    probs = sample.counts(dist)[0] / sample.n
+    return DiscreteDistribution(xs=dist.xs, ys=dist.ys, probs=probs, b=dist.b)
 
 
 def bernstein_check(

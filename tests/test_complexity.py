@@ -99,7 +99,7 @@ class TestDrawMoments:
     @given(draw_tables())
     def test_counts_match_the_gather(self, tables):
         base, idx, weights = tables
-        linear, quad = complexity._draw_moments(base, idx, weights)
+        linear, quad = complexity._draw_moments(FiniteClassSpec(base=base), idx, weights)
         ref_linear, ref_quad = gather_moments(base, idx, weights)
         assert linear.shape == quad.shape == (idx.shape[0], base.shape[0])
         scale = idx.shape[1] * max(1.0, np.abs(base).max()) ** 2
@@ -108,7 +108,8 @@ class TestDrawMoments:
 
     def test_single_draw_is_exact(self):
         base = np.array([[0.5, -2.0, 3.0]])
-        linear, quad = complexity._draw_moments(base, np.array([[1]]), np.array([[-1.0]]))
+        linear, quad = complexity._draw_moments(FiniteClassSpec(base=base), np.array([[1]]),
+                                                np.array([[-1.0]]))
         assert (linear.tolist(), quad.tolist()) == ([[2.0]], [[4.0]])
 
     def test_zero_probability_atoms_through_the_estimators(self):
@@ -290,6 +291,13 @@ class TestEmpiricalOffsetComplexity:
         spec = FiniteClassSpec(base=np.random.default_rng(5).uniform(-1, 1, size=(2, 3)))
         with pytest.raises(ValueError, match="atom ids"):
             empirical_offset_complexity(ids, spec, 0.5, 10, seed=0)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("ids", [[0.5, 1.0], [True, False], np.array([2.0, 0.0])])
+    def test_non_integer_atom_ids_rejected(self, ids, exact):
+        spec = FiniteClassSpec(base=np.random.default_rng(5).uniform(-1, 1, size=(2, 3)))
+        with pytest.raises(ValueError, match="atom ids must be integers"):
+            empirical_offset_complexity(ids, spec, 0.5, 10, seed=0, exact=exact)
 
     def test_exact_mode_cap(self):
         spec = FiniteClassSpec(base=np.ones((1, 2)))

@@ -68,6 +68,14 @@ class TestMultiplierSup:
         with pytest.raises((IndexError, ValueError)):
             multiplier_sup(setup, bad)
 
+    @pytest.mark.parametrize("check", [multiplier_sup, self_localization_check])
+    @pytest.mark.parametrize("bad", [[0.5, 1.0], [True, False], np.array([0.0, 1.0])])
+    def test_non_integer_atom_ids_rejected(self, check, bad):
+        # Never truncated: id 0.5 is not atom 0.
+        setup = make_setup([1.0, -1.0], [0.5, 0.5], np.ones((1, 2)), gamma=0.5)
+        with pytest.raises(ValueError, match="atom ids must be integers"):
+            check(setup, bad)
+
     def test_eta_computed_from_data(self):
         base = np.array([[0.5, -0.25]])
         setup = make_setup([1.5, -0.5], [0.5, 0.5], base, gamma=0.4)

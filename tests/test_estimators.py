@@ -291,6 +291,18 @@ class TestMidpoint:
 
 
 class TestCheckOffset:
+    @pytest.mark.parametrize("bad", [-1, 3, True, np.True_, 1.0, np.float64(0.0), "0", None])
+    def test_gstar_index_must_be_an_integer_row(self, bad):
+        # -1 must not wrap to the last row, nor a bool act as a row index.
+        dist = DiscreteDistribution(xs=[[0.0], [1.0]], ys=[-0.5, 0.5], probs=[0.5, 0.5], b=1.0)
+        dictionary = Dictionary(values=[[0.0, 0.0], [0.5, 0.5], [-0.5, 0.5]], b=1.0)
+        sample, w = Sample(indices=[0, 1, 1]), PredictorWeights(weights=[1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="gstar_index"):
+            check_offset(sample, dist, LOSS, dictionary, w, bad, gamma=0.5)
+        # Row 2 fits every atom exactly, so the gap to it is the whole risk of row 0.
+        report = check_offset(sample, dist, LOSS, dictionary, w, np.int64(2), gamma=0.5)
+        assert (report.lhs, report.quadratic) == (0.25, 0.25)
+
     def test_predictor_equal_to_reference(self):
         dist, dictionary = random_instance(np.random.default_rng(10), max_m=3)
         sample = draw_sample(dist, 9, seed=4)

@@ -118,6 +118,13 @@ class TestPredict:
         w = PredictorWeights(weights=[0.0, 2.0])
         assert w.sparsity == 1
 
+    @pytest.mark.parametrize("ids", [[0.5, 1.7, 2.0], [True, False], np.array([0.0, 1.0]),
+                                     np.array([1 + 0j])])
+    def test_non_integer_atom_ids_rejected(self, ids):
+        # Never truncated to [0, 1, 2] or read as [1, 0].
+        with pytest.raises(ValueError, match="atom ids must be integers"):
+            Sample(indices=ids)
+
     @pytest.mark.parametrize("build", [
         lambda: Sample(indices=[0, 1], n=5),
         lambda: Dictionary(values=[[0.5, -0.5]], b=1.0, m=3),
