@@ -169,20 +169,6 @@ def star_hull_sup(
     return j, lam.ravel()[at_j], values.ravel()[at_j]
 
 
-def _draw_moments(
-    class_spec: FiniteClassSpec, idx: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(R, k) sums sum_i w[r, i] h(X_ri) and sum_i h(X_ri)^2 over (R, n) atom ids.
-
-    A row's sums depend on its draws only through its per-atom counts and
-    weighted counts, so memory is O(R s), not the O(R n k) of a gather. Ids
-    must lie in [0, s).
-    """
-    s = class_spec.base.shape[1]
-    return (_atom_counts(idx, s, weights) @ class_spec.base.T,
-            _atom_counts(idx, s) @ class_spec._base_sq.T)
-
-
 def _per_draw_sups(
     class_spec: FiniteClassSpec,
     gamma: float,
@@ -195,13 +181,19 @@ def _per_draw_sups(
     With ``pop_sq`` given, each draw evaluates
     (1/n) sup_h sum_i [s_i h(X_i) - gamma h(X_i)^2 - gamma E h^2]; without it
     the population penalty is omitted (the sample-conditional variant).
+    A row's sums depend on its (R, n) atom ids only through its signed and
+    plain atom counts, so memory is O(R s), not the O(R n k) of a gather.
+    Ids must lie in [0, s).
     """
-    n = idx.shape[1]
-    linear, quad_emp = _draw_moments(class_spec, idx, signs)
-    quad = gamma * quad_emp
+    rows, n = idx.shape
+    s = class_spec.base.shape[1]
+    flat = (idx + np.arange(0, rows * s, s)[:, None]).ravel()
+    signed = np.bincount(flat, weights=signs.ravel(), minlength=rows * s).reshape(rows, s)
+    counts = np.bincount(flat, minlength=rows * s).reshape(rows, s)
+    quad = gamma * (counts @ class_spec._base_sq.T)
     if pop_sq is not None:
         quad = quad + gamma * n * pop_sq[None, :]
-    return star_hull_sup(linear, quad)[2] / n
+    return star_hull_sup(signed @ class_spec.base.T, quad)[2] / n
 
 
 def offset_complexity_draws(
@@ -288,10 +280,8 @@ def empirical_offset_complexity(
             raise ValueError("need at least one sign replicate outside exact mode")
         _, signs = replicate_draws(seed, "empirical-offset-sigma", sigma_replicates, n,
                                    signs=True)
-    h_at = class_spec.base[:, idx]  # (k, n)
-    linear = signs @ h_at.T
-    quad = np.broadcast_to(gamma * np.sum(h_at**2, axis=1), linear.shape)
-    estimate = _mc_estimate(star_hull_sup(linear, quad)[2] / n, gamma, "empirical_offset")
+    values = _per_draw_sups(class_spec, gamma, np.broadcast_to(idx, signs.shape), signs, None)
+    estimate = _mc_estimate(values, gamma, "empirical_offset")
     return replace(estimate, std_error=0.0) if exact else estimate
 
 
@@ -350,8 +340,10 @@ def local_complexity_fixed_point(
     crossing is unique. The reported std_error is the Monte-Carlo standard
     error of phi at the returned radius.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
+    if not 0 < r_tol < np.inf:
+        raise ValueError(f"r_tol must be positive and finite, got {r_tol!r}")
     S, pop_sq = local_sup_stats(dist, class_spec, n, mc_replicates, seed)
 
     def phi(r: float) -> float:

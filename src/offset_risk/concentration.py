@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexity import FiniteClassSpec, _draw_moments, _std_error, star_hull_sup
-from .model import DiscreteDistribution, _id_array, replicate_draws, rng_stream
+from .complexity import FiniteClassSpec, _std_error, star_hull_sup
+from .model import DiscreteDistribution, _atom_counts, _id_array, replicate_draws, rng_stream
 
 __all__ = [
     "MultiplierSetup",
@@ -61,8 +61,10 @@ class MultiplierSetup:
 
         eta = 8 * (multiplier_bound^2 / gamma + gamma * kappa^2).
 
-    The population moments E[zeta h] and E[h^2] of every base function are
-    computed once here too and kept, read-only, for the supremum kernel.
+    The multiplier is a function of the atom, so every sum over a sample is
+    its atom counts times one read-only table ``[zeta * h; h^2]`` of shape
+    (2k, s), built here once along with the table's population mean
+    ``[E zeta h; E h^2]``.
     """
 
     joint: DiscreteDistribution
@@ -71,8 +73,8 @@ class MultiplierSetup:
     kappa: float = field(init=False)
     multiplier_bound: float = field(init=False)
     eta: float = field(init=False)
-    _mean_cross: np.ndarray = field(init=False, repr=False, compare=False)
-    _mean_sq: np.ndarray = field(init=False, repr=False, compare=False)
+    _table: np.ndarray = field(init=False, repr=False, compare=False)
+    _table_mean: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.gamma <= 0:
@@ -83,16 +85,14 @@ class MultiplierSetup:
         kappa = float(np.max(np.abs(self.class_spec.base[:, live])))
         mult = float(np.max(np.abs(self.joint.ys[live])))
         eta = 8.0 * (mult**2 / self.gamma + self.gamma * kappa**2)
-        probs = self.joint.probs
-        mean_cross = (self.class_spec.base * self.zeta[None, :]) @ probs  # E[zeta h]
-        mean_sq = self.class_spec._base_sq @ probs  # E[h^2]
-        mean_cross.flags.writeable = False
-        mean_sq.flags.writeable = False
+        table = np.vstack([self.class_spec.base * self.zeta, self.class_spec._base_sq])
+        table_mean = table @ self.joint.probs
+        table.flags.writeable = table_mean.flags.writeable = False
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "multiplier_bound", mult)
         object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "_mean_cross", mean_cross)
-        object.__setattr__(self, "_mean_sq", mean_sq)
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_table_mean", table_mean)
 
     @property
     def zeta(self) -> np.ndarray:
@@ -134,9 +134,10 @@ class TailReport:
 def _sup_kernel(setup: MultiplierSetup, idx: np.ndarray) -> tuple[np.ndarray, ...]:
     """(argmax, lam, U) per row of (R, n) atom ids, then the (R, k) tables A and B."""
     n = idx.shape[1]
-    cross, quad_emp = _draw_moments(setup.class_spec, idx, setup.zeta[idx])
-    linear = cross - n * setup._mean_cross[None, :]
-    quad = setup.gamma * (n * setup._mean_sq[None, :] + quad_emp)
+    k = setup.class_spec.base.shape[0]
+    sums = _atom_counts(idx, setup.joint.size) @ setup._table.T  # (R, 2k)
+    linear = sums[:, :k] - n * setup._table_mean[:k]
+    quad = setup.gamma * (n * setup._table_mean[k:] + sums[:, k:])
     return (*star_hull_sup(linear, quad), linear, quad)
 
 
@@ -226,6 +227,8 @@ def mgf_verify(
     """
     if replicates < 1000:
         raise ValueError("use at least 1000 replicates for MGF estimation")
+    if bootstrap_resamples < 1:
+        raise ValueError(f"bootstrap_resamples must be at least 1, got {bootstrap_resamples!r}")
     eta = setup.eta
     lambdas = np.linspace(1.0 / (16.0 * eta), 1.0 / (2.0 * eta), 8)
     sups, quad_at_max = simulate_sup_draws(setup, n, replicates, seed)

@@ -28,6 +28,7 @@ from .model import (
     Sample,
     predict_all,
 )
+from .risk import empirical_risk_of_values
 
 __all__ = [
     "StarSolution",
@@ -181,15 +182,14 @@ def star(
     f = e is always feasible, so the result never does worse than e.
     """
     dictionary.validate_for(dist)
-    counts = sample.counts(dist)
-    e, p, weights, _ = _fit_rows(counts, dist, loss, dictionary, "star")
+    e, p, weights, _ = _fit_rows(sample.counts(dist), dist, loss, dictionary, "star")
     w = weights[0]
     return StarSolution(
         erm_index=int(e[0]),
         partner_index=int(p[0]),
         lam=float(w[e[0]]),
         weights=PredictorWeights(weights=w),
-        empirical_risk=float(counts[0] @ loss.eval(w @ dictionary.values, dist.ys) / sample.n),
+        empirical_risk=empirical_risk_of_values(sample, dist, loss, w @ dictionary.values),
     )
 
 
@@ -346,10 +346,10 @@ def mirror_descent(
     step, the continuous-time stop guarantee widened by the measured
     discretization error.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not step > 0:
+        raise ValueError(f"step must be positive, got {step!r}")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     if mirror_map not in MIRROR_MAPS:
         raise ValueError(f"unknown mirror map {mirror_map!r}")
     to_dual, from_dual, bregman = MIRROR_MAPS[mirror_map]

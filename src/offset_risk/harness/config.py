@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -81,11 +82,10 @@ class ExperimentConfig:
             raise ValueError("replicates must be at least 1")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie strictly between 0 and 1")
-        if self.gamma is not None and not self.gamma > 0:
-            raise ValueError("gamma must be positive when set")
-        for name in ("epsilon", "step", "c1"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("gamma", "epsilon", "step", "c1"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if not isinstance(self.mirror_map, str) or self.mirror_map not in MIRROR_MAPS:
             raise ValueError(
                 f"unknown mirror map {self.mirror_map!r}; expected one of {tuple(MIRROR_MAPS)}"

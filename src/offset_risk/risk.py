@@ -85,10 +85,12 @@ def population_risk_of_values(
 def empirical_risk_of_values(
     sample: Sample, dist: DiscreteDistribution, loss: LossSpec, values: np.ndarray
 ) -> float:
-    """Average loss of a predictor over the sample, given atom values."""
-    idx = sample.indices
+    """Average loss of a predictor over the sample, given atom values.
+
+    The sample enters through its atom counts: count(a) / n weighs atom a.
+    """
     values = np.asarray(values, dtype=np.float64)
-    return float(np.mean(loss.eval(values[idx], dist.ys[idx])))
+    return float(sample.counts(dist)[0] @ loss.eval(values, dist.ys) / sample.n)
 
 
 def population_risk(
@@ -110,7 +112,6 @@ def empirical_risk(
     predictor: PredictorWeights,
 ) -> RiskValue:
     dictionary.validate_for(dist)
-    sample.validate_for(dist)
     vals = predict_all(dictionary, predictor)
     return RiskValue(value=empirical_risk_of_values(sample, dist, loss, vals), kind="empirical")
 

@@ -95,7 +95,13 @@ class TestClassAndSetupTables:
     def test_setup_moments_equal_recomputation(self, seed):
         setup = random_multiplier_setup(np.random.default_rng(seed))
         base, probs = setup.class_spec.base, setup.joint.probs
-        assert same_bits(setup._mean_cross, (base * setup.zeta[None, :]) @ probs)
-        assert same_bits(setup._mean_sq, (base**2) @ probs)
-        assert not setup._mean_cross.flags.writeable
-        assert not setup._mean_sq.flags.writeable
+        k = base.shape[0]
+        # One stacked table [zeta h; h^2] and its population mean [E zeta h; E h^2].
+        assert same_bits(setup._table, np.vstack([base * setup.zeta[None, :], base**2]))
+        assert same_bits(setup._table_mean, setup._table @ probs)
+        np.testing.assert_allclose(setup._table_mean[:k], (base * setup.zeta) @ probs,
+                                   rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(setup._table_mean[k:], (base**2) @ probs,
+                                   rtol=1e-14, atol=1e-15)
+        assert not setup._table.flags.writeable
+        assert not setup._table_mean.flags.writeable

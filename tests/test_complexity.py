@@ -27,6 +27,7 @@ from offset_risk.complexity import (
     star_hull_sup,
     subset_family,
 )
+from offset_risk.concentration import MultiplierSetup, multiplier_sup, simulate_sup_draws
 from offset_risk.instances import random_star_class
 from offset_risk.model import DiscreteDistribution, replicate_draws
 
@@ -65,52 +66,103 @@ def coefficient_rows(draw):
 
 
 def gather_moments(base, idx, weights):
-    """Reference for complexity._draw_moments: gather h at every draw, then sum."""
+    """Reference sums over a sample: gather h at every draw, then sum.
+
+    Returns the (R, k) sums sum_i w_i h(X_i) and sum_i h(X_i)^2 over (R, n)
+    atom ids; the package forms both from atom counts instead.
+    """
     h_at = base.T[idx]  # (R, n, k)
     return np.einsum("rn,rnk->rk", weights, h_at), np.einsum("rnk,rnk->rk", h_at, h_at)
 
 
 @st.composite
-def draw_tables(draw):
-    """Value tables, (R, n) atom ids over a subset of the atoms, and per-draw weights.
+def sampled_classes(draw):
+    """A law with zero-probability atoms, a class on its support, and a sampling plan.
 
-    Atoms outside the drawable subset play the zero-probability atoms; with
-    few draws, some drawable atoms are never drawn either. Weights are
-    either random signs or a per-atom multiplier zeta read at the draws.
+    The atom's y value doubles as the multiplier zeta; with few draws, some
+    positive-probability atoms are never drawn either.
     """
     s, k = draw(st.integers(1, 6)), draw(st.integers(1, 4))
-    rows, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
     values = st.floats(-3.0, 3.0)
     base = np.array(draw(st.lists(values, min_size=k * s, max_size=k * s))).reshape(k, s)
     live = draw(st.lists(st.integers(0, s - 1), min_size=1, max_size=s, unique=True))
-    idx = np.array(draw(st.lists(st.sampled_from(live), min_size=rows * n,
-                                 max_size=rows * n))).reshape(rows, n)
-    if draw(st.booleans()):
-        weights = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=rows * n,
-                                         max_size=rows * n))).reshape(rows, n)
-    else:
-        zeta = np.array(draw(st.lists(st.floats(-1.5, 1.5), min_size=s, max_size=s)))
-        weights = zeta[idx]
-    return base, idx, weights
+    probs = np.zeros(s)
+    probs[live] = draw(st.lists(st.floats(0.1, 1.0), min_size=len(live), max_size=len(live)))
+    zeta = np.array(draw(st.lists(st.floats(-1.5, 1.5), min_size=s, max_size=s)))
+    dist = DiscreteDistribution(xs=np.arange(s, dtype=float)[:, None], ys=zeta,
+                                probs=probs / probs.sum(), b=2.0)
+    plan = dict(n=draw(st.integers(1, 6)), replicates=draw(st.integers(1, 4)),
+                seed=draw(st.integers(0, 2**16)), gamma=draw(st.floats(0.05, 2.0)))
+    return dist, FiniteClassSpec(base=base), plan
 
 
-class TestDrawMoments:
-    @settings(max_examples=200, deadline=None)
-    @given(draw_tables())
-    def test_counts_match_the_gather(self, tables):
-        base, idx, weights = tables
-        linear, quad = complexity._draw_moments(FiniteClassSpec(base=base), idx, weights)
-        ref_linear, ref_quad = gather_moments(base, idx, weights)
-        assert linear.shape == quad.shape == (idx.shape[0], base.shape[0])
-        scale = idx.shape[1] * max(1.0, np.abs(base).max()) ** 2
-        np.testing.assert_allclose(linear, ref_linear, rtol=1e-12, atol=1e-12 * scale)
-        np.testing.assert_allclose(quad, ref_quad, rtol=1e-12, atol=1e-12 * scale)
+def assert_sums_close(got, ref, base, n):
+    scale = n * max(1.0, np.abs(base).max()) ** 2
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * scale)
+
+
+class TestCountsMatchTheGather:
+    """Every sum over a sample reads atom counts; a per-draw gather is the reference."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(sampled_classes(), st.booleans())
+    def test_offset_draws_match_the_gather(self, case, with_population):
+        dist, spec, plan = case
+        n, gamma = plan["n"], plan["gamma"]
+        idx, signs = replicate_draws(plan["seed"], "offset-complexity", plan["replicates"], n,
+                                     dist, signs=True)
+        linear, quad = gather_moments(spec.base, idx, signs)
+        quad = gamma * quad
+        if with_population:
+            quad = quad + gamma * n * ((spec.base**2) @ dist.probs)
+        ref = star_hull_sup(linear, quad)[2] / n
+        got = offset_complexity_draws(dist, spec, gamma, n, plan["replicates"], plan["seed"],
+                                      include_population_term=with_population)
+        assert got.shape == (plan["replicates"],)
+        assert_sums_close(got, ref, spec.base, 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sampled_classes())
+    def test_multiplier_sums_match_the_gather(self, case):
+        dist, spec, plan = case
+        n, reps = plan["n"], plan["replicates"]
+        setup = MultiplierSetup(joint=dist, class_spec=spec, gamma=plan["gamma"])
+        idx, _ = replicate_draws(plan["seed"], "multiplier-sample", reps, n, dist)
+        cross, quad_emp = gather_moments(spec.base, idx, setup.zeta[idx])
+        mean_cross = (spec.base * setup.zeta) @ dist.probs
+        A = cross - n * mean_cross  # (R, k)
+        B = setup.gamma * (n * ((spec.base**2) @ dist.probs) + quad_emp)
+        ref_sup = star_hull_sup(A, B)[2]
+        sups, quad_at_max = simulate_sup_draws(setup, n, reps, plan["seed"])
+        assert_sums_close(sups, ref_sup, spec.base, n)
+        for r in range(reps):
+            res = multiplier_sup(setup, idx[r])
+            j, lam = res.argmax_index, res.argmax_lam
+            assert_sums_close(res.value, ref_sup[r], spec.base, n)
+            # A and B at the kernel's own maximizer, against the gathered tables.
+            assert_sums_close(res.linear_at_max, lam * A[r, j], spec.base, n)
+            assert_sums_close(res.quad_at_max, lam**2 * B[r, j], spec.base, n)
+            assert_sums_close(quad_at_max[r], res.quad_at_max, spec.base, n)
 
     def test_single_draw_is_exact(self):
-        base = np.array([[0.5, -2.0, 3.0]])
-        linear, quad = complexity._draw_moments(FiniteClassSpec(base=base), np.array([[1]]),
-                                                np.array([[-1.0]]))
-        assert (linear.tolist(), quad.tolist()) == ([[2.0]], [[4.0]])
+        # n = 1, h(X) = -2: the sign pattern +1 gives A = -2 (sup 0), the
+        # pattern -1 gives A = 2, B = 0.25 * 4 = 1, so lam = 1 and the sup is 1.
+        spec = FiniteClassSpec(base=np.array([[0.5, -2.0, 3.0]]))
+        est = empirical_offset_complexity([1], spec, 0.25, 0, seed=0, exact=True)
+        assert (est.value, est.std_error) == (0.5, 0.0)
+
+    def test_empirical_offset_exact_matches_the_gather(self):
+        rng = np.random.default_rng(8)
+        spec = FiniteClassSpec(base=rng.uniform(-2, 2, size=(4, 6)))
+        sample_x = rng.integers(0, 6, size=9)
+        gamma = 0.3
+        signs = all_sign_patterns(sample_x.size)  # (2^n, n)
+        h_at = spec.base[:, sample_x]  # (k, n)
+        linear = signs @ h_at.T
+        quad = np.broadcast_to(gamma * np.sum(h_at**2, axis=1), linear.shape)
+        ref = star_hull_sup(linear, quad)[2] / sample_x.size
+        est = empirical_offset_complexity(sample_x, spec, gamma, 0, seed=0, exact=True)
+        assert est.value == pytest.approx(ref.mean(), rel=1e-12)
 
     def test_zero_probability_atoms_through_the_estimators(self):
         dist = DiscreteDistribution(xs=np.arange(5.0)[:, None], ys=np.zeros(5),
@@ -322,6 +374,19 @@ class TestEmpiricalOffsetComplexity:
 
 
 class TestLocalFixedPoint:
+    # r_tol = 0 used to bisect forever, NaN to skip the bisection, and an
+    # infinite gamma to fail bracketing with a RuntimeError.
+    @pytest.mark.parametrize("name, value", [
+        ("r_tol", 0.0), ("r_tol", -1e-6), ("r_tol", float("nan")), ("r_tol", float("inf")),
+        ("gamma", float("inf")), ("gamma", float("nan")), ("gamma", 0.0),
+    ])
+    def test_bad_gamma_and_r_tol_rejected(self, name, value):
+        args = dict(dist=uniform_dist(4), class_spec=FiniteClassSpec(base=np.ones((1, 4))),
+                    gamma=0.5, n=6, mc_replicates=16, r_tol=1e-6, seed=0)
+        args[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            local_complexity_fixed_point(**args)
+
     def test_zero_class(self):
         dist = uniform_dist(4)
         spec = FiniteClassSpec(base=np.zeros((1, 4)))

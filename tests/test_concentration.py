@@ -192,6 +192,12 @@ class TestMgfVerify:
         assert report.violations == ()
         assert report.self_localization_failures == 0
 
+    @pytest.mark.parametrize("resamples", [0, -5])
+    def test_bootstrap_resamples_below_one_rejected(self, resamples):
+        setup = make_setup([1.0, -1.0], [0.5, 0.5], np.ones((1, 2)), gamma=0.5)
+        with pytest.raises(ValueError, match="bootstrap_resamples must be at least 1"):
+            mgf_verify(setup, n=4, replicates=1000, seed=0, bootstrap_resamples=resamples)
+
     def test_two_point_law_matches_exact_mgf(self):
         # Singleton class, n = 1, two atoms: U takes one of two enumerable
         # values, so the exact centered log-MGF is available in closed form.

@@ -84,6 +84,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="c1 must be positive"):
             ExperimentConfig(c1=value)
 
+    @pytest.mark.parametrize("field_name", ["gamma", "epsilon", "c1", "step"])
+    def test_infinite_values_rejected(self, field_name):
+        with pytest.raises(ValueError, match=f"{field_name} must be positive and finite"):
+            ExperimentConfig(**{field_name: float("inf")})
+
     def test_unknown_mirror_map_rejected(self):
         with pytest.raises(ValueError, match="unknown mirror map 'hyperbolic'"):
             ExperimentConfig(mirror_map="hyperbolic")
@@ -377,6 +382,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "ys must be finite" in err
         assert sorted(tmp_path.iterdir()) == [path, ipath]
+
+    @pytest.mark.parametrize("field_name", ["gamma", "epsilon", "c1", "step"])
+    def test_infinite_config_value_exits_2(self, tmp_path, capsys, field_name):
+        # JSON's Infinity loads as a float; {"gamma": Infinity} used to end in
+        # a bracketing RuntimeError traceback with exit 1.
+        path = tmp_path / "cfg.json"
+        path.write_text(f'{{"{field_name}": Infinity}}')
+        assert cli.main(["complexity", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and field_name in err
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_bad_format_rejected(self, tmp_path):
         res = self.run_cli("aggregate", "--format", "pdf", "--out", str(tmp_path))

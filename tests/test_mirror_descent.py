@@ -126,6 +126,15 @@ class TestValidationAndFailure:
             mirror_descent(sample, dist, LOSS, [-0.5], [1.0],
                            mirror_map="negative_entropy", epsilon=0.1, step=1e-3)
 
+    @pytest.mark.parametrize("name", ["step", "epsilon"])
+    def test_nan_step_and_epsilon_rejected(self, name):
+        # A NaN compares false both ways: it used to pass and stop after 0 steps.
+        dist, sample = scalar_instance()
+        kwargs = dict(epsilon=0.1, step=1e-3)
+        kwargs[name] = float("nan")
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            mirror_descent(sample, dist, LOSS, [0.0], [1.0], **kwargs)
+
     def test_unknown_map_rejected(self):
         dist, sample = scalar_instance()
         with pytest.raises(ValueError, match="mirror map"):
