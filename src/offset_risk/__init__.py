@@ -12,7 +12,6 @@ from .model import (
     LossSpec,
     PredictorWeights,
     Sample,
-    custom_loss,
     draw_sample,
     load_instance,
     load_instance_file,
@@ -24,13 +23,10 @@ from .model import (
 from .risk import (
     BernsteinReport,
     ReferenceSolution,
-    RiskValue,
     bernstein_check,
     empirical_measure,
-    empirical_risk,
     excess_risk,
     population_minimizer,
-    population_risk,
 )
 from .estimators import (
     DivergenceError,

@@ -106,8 +106,8 @@ class SparseClassSpec:
         d = feats.shape[1]
         if not 1 <= self.k <= d:
             raise ValueError("sparsity level k must satisfy 1 <= k <= d")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma!r}")
         family_size = sum(comb(d, i) for i in range(1, self.k + 1))
         if family_size > _SUBSET_FAMILY_CAP:
             raise ValueError(
@@ -172,8 +172,9 @@ def star_hull_sup(
 def _per_draw_sups(
     class_spec: FiniteClassSpec,
     gamma: float,
-    idx: np.ndarray,
-    signs: np.ndarray,
+    n: int,
+    signed: np.ndarray,
+    counts: np.ndarray,
     pop_sq: np.ndarray | None,
 ) -> np.ndarray:
     """Per-draw normalized suprema of the offset Rademacher functional.
@@ -181,19 +182,16 @@ def _per_draw_sups(
     With ``pop_sq`` given, each draw evaluates
     (1/n) sup_h sum_i [s_i h(X_i) - gamma h(X_i)^2 - gamma E h^2]; without it
     the population penalty is omitted (the sample-conditional variant).
-    A row's sums depend on its (R, n) atom ids only through its signed and
-    plain atom counts, so memory is O(R s), not the O(R n k) of a gather.
-    Ids must lie in [0, s).
+    Each draw's sums depend on its n atom ids only through its signed and
+    plain atom counts: ``signed`` is (R, s), and ``counts`` is (R, s) or one
+    (1, s) row that every draw shares. So memory is O(R s), not the
+    O(R n k) of a gather.
     """
-    rows, n = idx.shape
-    s = class_spec.base.shape[1]
-    flat = (idx + np.arange(0, rows * s, s)[:, None]).ravel()
-    signed = np.bincount(flat, weights=signs.ravel(), minlength=rows * s).reshape(rows, s)
-    counts = np.bincount(flat, minlength=rows * s).reshape(rows, s)
     quad = gamma * (counts @ class_spec._base_sq.T)
     if pop_sq is not None:
         quad = quad + gamma * n * pop_sq[None, :]
-    return star_hull_sup(signed @ class_spec.base.T, quad)[2] / n
+    linear = signed @ class_spec.base.T
+    return star_hull_sup(linear, np.broadcast_to(quad, linear.shape))[2] / n
 
 
 def offset_complexity_draws(
@@ -206,13 +204,18 @@ def offset_complexity_draws(
     include_population_term: bool = True,
 ) -> np.ndarray:
     """Per-replicate values behind the offset complexity estimate."""
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+    if not 0 <= gamma < np.inf:
+        raise ValueError(f"gamma must be nonnegative and finite, got {gamma!r}")
     if class_spec.base.shape[1] != dist.size:
         raise ValueError("class value tables must match the support size")
     idx, signs = replicate_draws(seed, "offset-complexity", replicates, n, dist, signs=True)
+    # Both counts come from one flat id array (model._atom_counts builds its own).
+    size = replicates * dist.size
+    flat = (idx + np.arange(0, size, dist.size)[:, None]).ravel()
+    signed = np.bincount(flat, weights=signs.ravel(), minlength=size).reshape(replicates, -1)
+    counts = np.bincount(flat, minlength=size).reshape(replicates, -1)
     pop_sq = class_spec._base_sq @ dist.probs if include_population_term else None
-    return _per_draw_sups(class_spec, gamma, idx, signs, pop_sq)
+    return _per_draw_sups(class_spec, gamma, n, signed, counts, pop_sq)
 
 
 def _std_error(values: np.ndarray) -> float:
@@ -246,9 +249,9 @@ def offset_complexity_mc(
 
 
 def _exact_sign_patterns(n: int) -> np.ndarray:
-    bits = np.arange(2**n, dtype=np.uint32)
-    cols = [(bits >> i) & 1 for i in range(n)]
-    return np.stack(cols, axis=1).astype(np.float64) * 2.0 - 1.0
+    """All 2^n sign rows: entry (r, i) is +1 where bit i of r is set, else -1."""
+    bits = np.arange(2**n, dtype=np.uint32)[:, None] >> np.arange(n, dtype=np.uint32)
+    return (bits & 1) * 2.0 - 1.0
 
 
 def empirical_offset_complexity(
@@ -264,8 +267,8 @@ def empirical_offset_complexity(
     ``sample_x`` holds atom ids into the class value tables. In exact mode
     all 2^n sign patterns are enumerated (n <= 20) and std_error is 0.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+    if not 0 <= gamma < np.inf:
+        raise ValueError(f"gamma must be nonnegative and finite, got {gamma!r}")
     idx = _id_array(sample_x)
     n = idx.size
     s = class_spec.base.shape[1]
@@ -280,7 +283,11 @@ def empirical_offset_complexity(
             raise ValueError("need at least one sign replicate outside exact mode")
         _, signs = replicate_draws(seed, "empirical-offset-sigma", sigma_replicates, n,
                                    signs=True)
-    values = _per_draw_sups(class_spec, gamma, np.broadcast_to(idx, signs.shape), signs, None)
+    one_hot = np.eye(s)[idx]  # (n, s): row i marks atom idx[i]
+    signed = signs @ one_hot  # integer sums, so exact in any order
+    del signs  # the largest array here; the suprema read counts only
+    counts = one_hot.sum(axis=0, keepdims=True)  # one row for every sign row
+    values = _per_draw_sups(class_spec, gamma, n, signed, counts, None)
     estimate = _mc_estimate(values, gamma, "empirical_offset")
     return replace(estimate, std_error=0.0) if exact else estimate
 

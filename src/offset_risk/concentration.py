@@ -77,8 +77,8 @@ class MultiplierSetup:
     _table_mean: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma!r}")
         if self.class_spec.base.shape[1] != self.joint.size:
             raise ValueError("class value tables must match the joint support size")
         live = self.joint.probs > 0
@@ -143,8 +143,11 @@ def _sup_kernel(setup: MultiplierSetup, idx: np.ndarray) -> tuple[np.ndarray, ..
 
 def multiplier_sup(setup: MultiplierSetup, atom_ids: np.ndarray) -> MultiplierSupResult:
     """Exact supremum on one sample: the one-row case of the simulate_sup_draws kernel."""
-    idx = _id_array(atom_ids)[None, :]
-    best, lam, value, linear, quad = _sup_kernel(setup, idx)
+    idx = _id_array(atom_ids)
+    s = setup.joint.size
+    if idx.size and (idx.min() < 0 or idx.max() >= s):
+        raise ValueError(f"atom ids must lie in [0, {s})")
+    best, lam, value, linear, quad = _sup_kernel(setup, idx[None, :])
     j, lam = int(best[0]), float(lam[0])
     return MultiplierSupResult(
         value=float(value[0]),

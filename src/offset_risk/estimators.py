@@ -135,26 +135,12 @@ def _fit_rows(counts: np.ndarray, dist: DiscreteDistribution, loss: LossSpec,
         near = risks <= risks[rows, e][:, None] + c1 * loss.lipschitz * d_emp
         mid_risks = (w * loss.eval(0.5 * (g_e + values), ys)).sum(axis=-1)
         p, lam = _lowest_best(np.where(near, mid_risks, np.inf)), 0.5
-    elif estimator == "star" and loss.kind == "squared":
+    elif estimator == "star":
         # g_e + mu (g_f - g_e) has risk R_n(e) - [mu A_f - mu^2 B_f] with
         # A_f = -2 <g_f - g_e, g_e - y>_n: the star-hull kernel's sup.
         linear = -2.0 * (w * diff * (g_e - ys)).sum(axis=-1)
         p, mu, _ = star_hull_sup(linear, sq_dist)
         lam = 1.0 - mu
-    elif estimator == "star":  # other convex losses: ternary search on every slice
-        def mix_risk(lams: np.ndarray) -> np.ndarray:
-            mixed = lams[..., None] * g_e + (1.0 - lams[..., None]) * values
-            return (w * loss.eval(mixed, ys)).sum(axis=-1)
-        lo, hi = np.zeros(sq_dist.shape), np.ones(sq_dist.shape)
-        while np.any(hi - lo >= 1e-10):  # all brackets shrink alike and stop together
-            third = (hi - lo) / 3.0
-            a, b = lo + third, hi - third
-            left = mix_risk(a) <= mix_risk(b)
-            hi, lo = np.where(left, b, hi), np.where(left, lo, a)
-        # A partner equal to g_e on the sample takes the canonical lam = 1.
-        lams = np.where(sq_dist == 0, 1.0, 0.5 * (lo + hi))
-        p = _lowest_best(mix_risk(lams))
-        lam = lams[rows, p]
     weights = np.zeros((rows.size, m))
     weights[rows, e] = lam
     weights[rows, p] += 1.0 - lam
@@ -175,11 +161,10 @@ def star(
     """Two-step segment-search aggregation over the dictionary.
 
     First takes the empirical risk minimizer e, then jointly minimizes the
-    empirical risk of lam*g_e + (1-lam)*g_f over partners f and lam in [0,1]:
-    exactly by the star-hull kernel for the squared loss, by ternary search
-    for other convex losses. Ties go to the lowest partner index within
-    relative 1e-12. A partner equal to e on the sample takes lam = 1, and
-    f = e is always feasible, so the result never does worse than e.
+    empirical risk of lam*g_e + (1-lam)*g_f over partners f and lam in [0,1],
+    exactly, by the star-hull kernel. Ties go to the lowest partner index
+    within relative 1e-12. A partner equal to e on the sample takes lam = 1,
+    and f = e is always feasible, so the result never does worse than e.
     """
     dictionary.validate_for(dist)
     e, p, weights, _ = _fit_rows(sample.counts(dist), dist, loss, dictionary, "star")
@@ -260,8 +245,8 @@ def check_offset(
     square norm (1/n) sum (predictor(X_i) - g(X_i))^2; g is row ``gstar_index``,
     an integer in [0, m).
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
     if (not isinstance(gstar_index, (int, np.integer)) or isinstance(gstar_index, bool)
             or not 0 <= gstar_index < dictionary.m):
         raise ValueError(

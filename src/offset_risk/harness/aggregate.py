@@ -16,7 +16,7 @@ import numpy as np
 
 from ..estimators import _fit_rows
 from ..model import Dictionary, DiscreteDistribution, _atom_counts, replicate_draws, squared_loss
-from ..risk import population_minimizer
+from ..risk import population_minimizer, population_risk_of_values
 from .config import ExperimentConfig, resolve_instance
 
 __all__ = ["RateFit", "AggregateStudy", "fit_rate", "run_aggregate"]
@@ -81,7 +81,7 @@ def run_aggregate(
         )
         weights = _fit_rows(_atom_counts(idx, dist.size), dist, loss, dictionary,
                             config.estimator, config.delta, config.c1)[2]
-        vals = loss.eval(weights @ dictionary.values, dist.ys) @ dist.probs - gstar_risk
+        vals = population_risk_of_values(dist, loss, weights @ dictionary.values) - gstar_risk
         rows.extend((n, rep, float(ex)) for rep, ex in enumerate(vals))
         q = float(np.quantile(vals, 1.0 - config.delta))
         summary.append(

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -27,7 +26,6 @@ __all__ = [
     "LossSpec",
     "PredictorWeights",
     "squared_loss",
-    "custom_loss",
     "rng_stream",
     "replicate_draws",
     "draw_atom_ids",
@@ -245,70 +243,38 @@ class Dictionary:
 
 @dataclass(frozen=True)
 class LossSpec:
-    """Loss with its Lipschitz constant and strong-convexity modulus.
+    """The squared loss (p - y)^2 for predictions and outcomes in [-b, b].
 
-    ``eval`` maps (prediction, outcome) to a nonnegative value and ``grad``
-    is its derivative in the prediction argument; both must be vectorized
-    over numpy arrays. ``lipschitz`` bounds the prediction-side increments on
-    the relevant range and ``strong_convexity`` is the curvature modulus
-    there.
+    ``eval`` and ``grad`` (the derivative in the prediction argument) are
+    vectorized over numpy arrays. ``lipschitz`` = 4b is the worst-case
+    derivative of (p - y)^2 in p over [-b, b]^2, and ``strong_convexity``
+    = 2 is its curvature modulus.
     """
 
-    kind: str
-    eval: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    grad: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    lipschitz: float
-    strong_convexity: float
+    b: float
 
     def __post_init__(self) -> None:
-        if self.lipschitz <= 0 or self.strong_convexity <= 0:
-            raise ValueError("lipschitz and strong_convexity must be positive")
+        if not 0 < self.b < np.inf:
+            raise ValueError(f"range bound b must be positive and finite, got {self.b!r}")
+
+    def eval(self, p, y) -> np.ndarray:
+        return (np.asarray(p, dtype=np.float64) - y) ** 2
+
+    def grad(self, p, y) -> np.ndarray:
+        return 2.0 * (np.asarray(p, dtype=np.float64) - y)
+
+    @property
+    def lipschitz(self) -> float:
+        return 4.0 * self.b
+
+    @property
+    def strong_convexity(self) -> float:
+        return 2.0
 
 
 def squared_loss(b: float) -> LossSpec:
-    """Squared loss on [-b, b]: Lipschitz constant 4b, curvature modulus 2.
-
-    4b is the worst-case derivative of (p - y)^2 in p over [-b, b]^2.
-    """
-    if b <= 0:
-        raise ValueError("range bound b must be positive")
-    return LossSpec(
-        kind="squared",
-        eval=lambda p, y: (np.asarray(p, dtype=np.float64) - y) ** 2,
-        grad=lambda p, y: 2.0 * (np.asarray(p, dtype=np.float64) - y),
-        lipschitz=4.0 * b,
-        strong_convexity=2.0,
-    )
-
-
-def custom_loss(
-    eval: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    grad: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    lipschitz: float,
-    strong_convexity: float,
-    b: float,
-) -> LossSpec:
-    """Wrap a user loss; rejects constants inconsistent with the range bound.
-
-    A loss that is both L-Lipschitz and c-strongly convex on [-b, b] must
-    satisfy c * b <= L, so that combination is rejected early. Nonnegativity
-    is probed on a coarse grid over [-b, b]^2 (a smoke check, not a proof).
-    """
-    if strong_convexity * b > lipschitz + 1e-12:
-        raise ValueError(
-            "strong_convexity * b must not exceed the Lipschitz constant on [-b, b]"
-        )
-    grid = np.linspace(-b, b, 9)
-    probe = eval(grid[:, None], grid[None, :])
-    if np.any(np.asarray(probe) < -1e-12):
-        raise ValueError("loss must be nonnegative on [-b, b]^2")
-    return LossSpec(
-        kind="custom",
-        eval=eval,
-        grad=grad,
-        lipschitz=lipschitz,
-        strong_convexity=strong_convexity,
-    )
+    """Squared loss on [-b, b]: Lipschitz constant 4b, curvature modulus 2."""
+    return LossSpec(b=b)
 
 
 @dataclass(frozen=True)

@@ -25,11 +25,8 @@ from .model import (
 )
 
 __all__ = [
-    "RiskValue",
     "ReferenceSolution",
     "BernsteinReport",
-    "population_risk",
-    "empirical_risk",
     "population_risk_of_values",
     "empirical_risk_of_values",
     "population_minimizer",
@@ -37,18 +34,6 @@ __all__ = [
     "empirical_measure",
     "bernstein_check",
 ]
-
-
-@dataclass(frozen=True)
-class RiskValue:
-    value: float
-    kind: str  # "population" or "empirical"
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("population", "empirical"):
-            raise ValueError("kind must be 'population' or 'empirical'")
-        if self.value < 0:
-            raise ValueError("risk of a nonnegative loss cannot be negative")
 
 
 @dataclass(frozen=True)
@@ -76,10 +61,13 @@ class BernsteinReport:
 
 def population_risk_of_values(
     dist: DiscreteDistribution, loss: LossSpec, values: np.ndarray
-) -> float:
-    """Exact risk of a predictor given its values at every atom."""
-    values = np.asarray(values, dtype=np.float64)
-    return float(loss.eval(values, dist.ys) @ dist.probs)
+) -> np.ndarray:
+    """Exact risks of predictors given their values at every atom.
+
+    The support is the last axis of ``values``; the result drops it, so a
+    (..., s) value table gives (...) risks and one length-s row one risk.
+    """
+    return loss.eval(values, dist.ys) @ dist.probs
 
 
 def empirical_risk_of_values(
@@ -89,37 +77,7 @@ def empirical_risk_of_values(
 
     The sample enters through its atom counts: count(a) / n weighs atom a.
     """
-    values = np.asarray(values, dtype=np.float64)
     return float(sample.counts(dist)[0] @ loss.eval(values, dist.ys) / sample.n)
-
-
-def population_risk(
-    dist: DiscreteDistribution,
-    loss: LossSpec,
-    dictionary: Dictionary,
-    predictor: PredictorWeights,
-) -> RiskValue:
-    dictionary.validate_for(dist)
-    vals = predict_all(dictionary, predictor)
-    return RiskValue(value=population_risk_of_values(dist, loss, vals), kind="population")
-
-
-def empirical_risk(
-    sample: Sample,
-    dist: DiscreteDistribution,
-    loss: LossSpec,
-    dictionary: Dictionary,
-    predictor: PredictorWeights,
-) -> RiskValue:
-    dictionary.validate_for(dist)
-    vals = predict_all(dictionary, predictor)
-    return RiskValue(value=empirical_risk_of_values(sample, dist, loss, vals), kind="empirical")
-
-
-def _row_population_risks(
-    dist: DiscreteDistribution, loss: LossSpec, dictionary: Dictionary
-) -> np.ndarray:
-    return loss.eval(dictionary.values, dist.ys[None, :]) @ dist.probs
 
 
 def population_minimizer(
@@ -127,7 +85,7 @@ def population_minimizer(
 ) -> ReferenceSolution:
     """Best dictionary row by exact risk; ties: lowest index within relative 1e-12."""
     dictionary.validate_for(dist)
-    risks = _row_population_risks(dist, loss, dictionary)
+    risks = population_risk_of_values(dist, loss, dictionary.values)
     j = int(_lowest_best(risks))
     return ReferenceSolution(gstar_index=j, gstar_risk=float(risks[j]))
 
@@ -144,7 +102,8 @@ def excess_risk(
     beat every row.
     """
     ref = population_minimizer(dist, loss, dictionary)
-    return population_risk(dist, loss, dictionary, predictor).value - ref.gstar_risk
+    risk = population_risk_of_values(dist, loss, predict_all(dictionary, predictor))
+    return float(risk) - ref.gstar_risk
 
 
 def empirical_measure(sample: Sample, dist: DiscreteDistribution) -> DiscreteDistribution:
@@ -174,8 +133,8 @@ def bernstein_check(
     deterministic offset-condition check with the roles of empirical and
     population quantities interchanged.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
     class_values = np.atleast_2d(np.asarray(class_values, dtype=np.float64))
     gstar_values = np.asarray(gstar_values, dtype=np.float64).ravel()
     if class_values.shape[1] != dist.size or gstar_values.shape[0] != dist.size:

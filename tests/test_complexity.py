@@ -96,6 +96,15 @@ def sampled_classes(draw):
     return dist, FiniteClassSpec(base=base), plan
 
 
+def gather_empirical_offset(spec, sample_x, gamma):
+    """Reference exact empirical offset complexity: gather h at the sample, all signs."""
+    signs = all_sign_patterns(sample_x.size)  # (2^n, n)
+    h_at = spec.base[:, sample_x]  # (k, n)
+    linear = signs @ h_at.T
+    quad = np.broadcast_to(gamma * np.sum(h_at**2, axis=1), linear.shape)
+    return (star_hull_sup(linear, quad)[2] / sample_x.size).mean()
+
+
 def assert_sums_close(got, ref, base, n):
     scale = n * max(1.0, np.abs(base).max()) ** 2
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * scale)
@@ -155,14 +164,26 @@ class TestCountsMatchTheGather:
         rng = np.random.default_rng(8)
         spec = FiniteClassSpec(base=rng.uniform(-2, 2, size=(4, 6)))
         sample_x = rng.integers(0, 6, size=9)
-        gamma = 0.3
-        signs = all_sign_patterns(sample_x.size)  # (2^n, n)
-        h_at = spec.base[:, sample_x]  # (k, n)
-        linear = signs @ h_at.T
-        quad = np.broadcast_to(gamma * np.sum(h_at**2, axis=1), linear.shape)
-        ref = star_hull_sup(linear, quad)[2] / sample_x.size
-        est = empirical_offset_complexity(sample_x, spec, gamma, 0, seed=0, exact=True)
-        assert est.value == pytest.approx(ref.mean(), rel=1e-12)
+        est = empirical_offset_complexity(sample_x, spec, 0.3, 0, seed=0, exact=True)
+        assert est.value == pytest.approx(gather_empirical_offset(spec, sample_x, 0.3),
+                                          rel=1e-12)
+
+    def test_empirical_offset_exact_counts_the_fixed_sample_once(self):
+        # All 2^16 sign rows share the sample's one plain count row, and the
+        # (2^n, n) signs are dropped once counted: the traced peak is 16.8 MB,
+        # at building the signs (37 MB when the sample was counted per row).
+        rng = np.random.default_rng(1)
+        spec = FiniteClassSpec(base=rng.uniform(-1, 1, size=(5, 7)))
+        sample_x = rng.integers(0, 7, size=16)
+        tracemalloc.start()
+        try:
+            est = empirical_offset_complexity(sample_x, spec, 0.5, 0, seed=0, exact=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
+        assert est.value == pytest.approx(gather_empirical_offset(spec, sample_x, 0.5),
+                                          rel=1e-12)
 
     def test_zero_probability_atoms_through_the_estimators(self):
         dist = DiscreteDistribution(xs=np.arange(5.0)[:, None], ys=np.zeros(5),
@@ -271,6 +292,14 @@ class TestStarHullSup:
 
 
 class TestOffsetComplexityMc:
+    # An infinite gamma used to return NaN draws.
+    @pytest.mark.parametrize("estimate", [offset_complexity_draws, offset_complexity_mc])
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -1.0])
+    def test_gamma_must_be_nonnegative_and_finite(self, estimate, gamma):
+        spec = FiniteClassSpec(base=np.ones((1, 3)))
+        with pytest.raises(ValueError, match="gamma must be nonnegative and finite"):
+            estimate(uniform_dist(3), spec, gamma, 4, 8, 0)
+
     def test_zero_class_is_exactly_zero(self):
         dist = uniform_dist(3)
         spec = FiniteClassSpec(base=np.zeros((1, 3)))
@@ -355,6 +384,12 @@ class TestEmpiricalOffsetComplexity:
         spec = FiniteClassSpec(base=np.ones((1, 2)))
         with pytest.raises(ValueError, match="capped"):
             empirical_offset_complexity(np.zeros(21, dtype=int), spec, 0.5, 0, 0, exact=True)
+
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -1.0])
+    def test_gamma_must_be_nonnegative_and_finite(self, gamma):
+        spec = FiniteClassSpec(base=np.ones((1, 3)))
+        with pytest.raises(ValueError, match="gamma must be nonnegative and finite"):
+            empirical_offset_complexity([0, 1], spec, gamma, 10, seed=0)
 
     def test_population_term_dominated_per_draw(self):
         # Dropping the nonnegative population penalty can only increase each
@@ -563,6 +598,11 @@ class TestSparseOffset:
         cols = np.hstack([col, 2 * col])  # rank one
         H = hat_matrix(cols)
         assert np.sum(H * H) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), 0.0])
+    def test_gamma_must_be_positive_and_finite(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            SparseClassSpec(features=np.ones((4, 3)), k=1, gamma=gamma)
 
     def test_enumeration_cap(self):
         # C(50, 1) + ... + C(50, 4) = 251,175 subsets stay under the 10^6 cap;

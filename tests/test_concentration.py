@@ -63,10 +63,12 @@ class TestMultiplierSup:
 
     @pytest.mark.parametrize("bad", [[0, 2], [-1, 1]])
     def test_atom_ids_outside_the_support_rejected(self, bad):
-        # Never a silent wrap to the last atom or a spill into another row.
+        # Never a silent wrap to the last atom or a spill into another row,
+        # and the error names the support size.
         setup = make_setup([1.0, -1.0], [0.5, 0.5], np.ones((1, 2)), gamma=0.5)
-        with pytest.raises((IndexError, ValueError)):
-            multiplier_sup(setup, bad)
+        for check in (multiplier_sup, self_localization_check):
+            with pytest.raises(ValueError, match=r"atom ids must lie in \[0, 2\)"):
+                check(setup, bad)
 
     @pytest.mark.parametrize("check", [multiplier_sup, self_localization_check])
     @pytest.mark.parametrize("bad", [[0.5, 1.0], [True, False], np.array([0.0, 1.0])])
@@ -75,6 +77,11 @@ class TestMultiplierSup:
         setup = make_setup([1.0, -1.0], [0.5, 0.5], np.ones((1, 2)), gamma=0.5)
         with pytest.raises(ValueError, match="atom ids must be integers"):
             check(setup, bad)
+
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), 0.0])
+    def test_gamma_must_be_positive_and_finite(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            make_setup([1.0, -1.0], [0.5, 0.5], np.ones((1, 2)), gamma=gamma)
 
     def test_eta_computed_from_data(self):
         base = np.array([[0.5, -0.25]])

@@ -8,7 +8,6 @@ import pytest
 from offset_risk.model import (
     DiscreteDistribution,
     Dictionary,
-    LossSpec,
     PredictorWeights,
     Sample,
     draw_sample,
@@ -16,7 +15,6 @@ from offset_risk.model import (
     predict_all,
     rng_stream,
     squared_loss,
-    custom_loss,
 )
 
 
@@ -183,20 +181,10 @@ class TestLoss:
                         )
                         assert lhs <= rhs + 1e-12
 
-    def test_custom_loss_constant_consistency(self):
-        with pytest.raises(ValueError, match="Lipschitz"):
-            custom_loss(
-                eval=lambda p, y: (p - y) ** 2,
-                grad=lambda p, y: 2 * (p - y),
-                lipschitz=1.0,
-                strong_convexity=5.0,
-                b=1.0,
-            )
-
-    def test_loss_spec_positivity(self):
-        with pytest.raises(ValueError):
-            LossSpec(kind="custom", eval=lambda p, y: p, grad=lambda p, y: p, lipschitz=0.0,
-                     strong_convexity=1.0)
+    @pytest.mark.parametrize("b", [0.0, -1.0, np.nan, np.inf])
+    def test_range_bound_must_be_positive_and_finite(self, b):
+        with pytest.raises(ValueError, match="range bound b"):
+            squared_loss(b)
 
 
 class TestRngStream:

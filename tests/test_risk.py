@@ -14,10 +14,10 @@ from offset_risk.model import (
 from offset_risk.risk import (
     bernstein_check,
     empirical_measure,
-    empirical_risk,
+    empirical_risk_of_values,
     excess_risk,
     population_minimizer,
-    population_risk,
+    population_risk_of_values,
 )
 
 LOSS = squared_loss(1.0)
@@ -35,26 +35,19 @@ class TestPopulationRisk:
     def test_perfect_fit_is_zero(self):
         dist = DiscreteDistribution(xs=[[0.0], [1.0]], ys=[0.3, -0.7], probs=[0.4, 0.6], b=1.0)
         dictionary = Dictionary(values=[[0.3, -0.7]], b=1.0)
-        r = population_risk(dist, LOSS, dictionary, PredictorWeights(weights=[1.0]))
-        assert r.value == 0.0 and r.kind == "population"
+        assert population_risk_of_values(dist, LOSS, dictionary.values[0]) == 0.0
 
     def test_single_atom(self):
         dist = DiscreteDistribution(xs=[[0.0]], ys=[1.0], probs=[1.0], b=1.0)
         dictionary = Dictionary(values=[[1.0]], b=1.0)
-        r = population_risk(dist, LOSS, dictionary, PredictorWeights(weights=[0.0]))
-        assert r.value == 1.0
+        assert population_risk_of_values(dist, LOSS, 0.0 * dictionary.values[0]) == 1.0
 
     def test_symmetric_two_atoms_vs_grid_search(self):
         # Risk of the constant predictor c is 1 + c^2; a grid scan over c
         # recovers both the formula and the minimizer c = 0.
         dist, ones = constant_predictor_setup()
         grid = np.linspace(-1, 1, 201)
-        risks = np.array(
-            [
-                population_risk(dist, LOSS, ones, PredictorWeights(weights=[c])).value
-                for c in grid
-            ]
-        )
+        risks = population_risk_of_values(dist, LOSS, grid[:, None] * ones.values[0])
         np.testing.assert_allclose(risks, 1.0 + grid**2, atol=1e-12)
         assert grid[np.argmin(risks)] == pytest.approx(0.0, abs=1e-12)
 
@@ -63,28 +56,26 @@ class TestEmpiricalRisk:
     def test_single_point(self):
         dist = DiscreteDistribution(xs=[[0.0]], ys=[1.0], probs=[1.0], b=1.0)
         dictionary = Dictionary(values=[[1.0]], b=1.0)
-        r = empirical_risk(Sample(indices=[0]), dist, LOSS, dictionary,
-                           PredictorWeights(weights=[0.0]))
-        assert r.value == 1.0 and r.kind == "empirical"
+        sample = Sample(indices=[0])
+        assert empirical_risk_of_values(sample, dist, LOSS, 0.0 * dictionary.values[0]) == 1.0
 
     def test_prob_proportional_sample_matches_population(self):
         dist = DiscreteDistribution(
             xs=[[0.0], [1.0], [2.0]], ys=[0.1, -0.4, 0.9], probs=[0.25, 0.5, 0.25], b=1.0
         )
         dictionary = Dictionary(values=[[0.2, 0.2, 0.2]], b=1.0)
-        w = PredictorWeights(weights=[1.0])
         sample = Sample(indices=[0, 1, 1, 2])  # multiplicities proportional to probs
-        emp = empirical_risk(sample, dist, LOSS, dictionary, w).value
-        pop = population_risk(dist, LOSS, dictionary, w).value
+        emp = empirical_risk_of_values(sample, dist, LOSS, dictionary.values[0])
+        pop = population_risk_of_values(dist, LOSS, dictionary.values[0])
         assert emp == pytest.approx(pop, abs=1e-12)
 
     def test_duplication_invariance(self):
         dist, ones = constant_predictor_setup()
-        w = PredictorWeights(weights=[0.37])
+        values = 0.37 * ones.values[0]
         sample = Sample(indices=[0, 1, 1])
         doubled = Sample(indices=np.repeat([0, 1, 1], 2))
-        a = empirical_risk(sample, dist, LOSS, ones, w).value
-        b = empirical_risk(doubled, dist, LOSS, ones, w).value
+        a = empirical_risk_of_values(sample, dist, LOSS, values)
+        b = empirical_risk_of_values(doubled, dist, LOSS, values)
         assert a == pytest.approx(b, abs=1e-14)
 
     def test_empty_sample_rejected(self):
@@ -182,6 +173,12 @@ class TestBernsteinCheck:
         dist, _ = constant_predictor_setup()
         with pytest.raises(ValueError):
             bernstein_check(dist, LOSS, np.zeros((1, 2)), np.zeros(2), gamma=0.0)
+
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+    def test_non_finite_gamma_rejected(self, gamma):
+        dist, _ = constant_predictor_setup()
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            bernstein_check(dist, LOSS, np.zeros((1, 2)), np.zeros(2), gamma=gamma)
 
     def test_realizable_grid_hull_holds_with_gamma_one(self):
         # The regression function is itself a grid mixture of the dictionary,

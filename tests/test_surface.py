@@ -4,6 +4,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -41,3 +42,27 @@ def test_package_imports_exist_in_their_modules(name):
                 f"{name} imports {alias.name}, which {source.__name__}.__all__ does not list"
             )
             assert getattr(package, alias.asname or alias.name) is getattr(source, alias.name)
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def test_benchmark_workloads_read_existing_names():
+    # The benchmark runs perfbench/workloads.py against this package, so a
+    # deleted or renamed name it reads must fail here, not in a benchmark run.
+    tree = ast.parse(WORKLOADS.read_text())
+    modules = {
+        alias.asname or alias.name: importlib.import_module(f"{node.module}.{alias.name}")
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("offset_risk")
+        for alias in node.names
+    }
+    assert set("CEIKMR") <= modules.keys()
+    reads = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+    missing = sorted(f"{name}.{attr}" for name, attr in reads if not hasattr(modules[name], attr))
+    assert reads and not missing, f"perfbench/workloads.py reads missing names: {missing}"
