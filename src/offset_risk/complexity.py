@@ -322,6 +322,8 @@ def phi_from_stats(
     so per base function lam_max = min(1, sqrt(r / (gamma E h^2))) and the
     per-draw supremum is max(0, max_h lam_max(h) * S[., h]).
     """
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
     if r <= 0:
         zeros = np.zeros(S.shape[0])
         return 0.0, zeros

@@ -216,6 +216,8 @@ def offset_report_from_values(
     risk_gap: float, quadratic: float, gamma: float, epsilon: float
 ) -> OffsetReport:
     """Assemble the margin report from precomputed empirical quantities."""
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
     rhs = -gamma * quadratic + epsilon
     margin = rhs - risk_gap
     return OffsetReport(
@@ -243,10 +245,9 @@ def check_offset(
 
     lhs is R_n(predictor) - R_n(g); quadratic is the averaged empirical
     square norm (1/n) sum (predictor(X_i) - g(X_i))^2; g is row ``gstar_index``,
-    an integer in [0, m).
+    an integer in [0, m). A gamma outside (0, inf) is rejected by
+    :func:`offset_report_from_values`.
     """
-    if not 0 < gamma < np.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
     if (not isinstance(gstar_index, (int, np.integer)) or isinstance(gstar_index, bool)
             or not 0 <= gstar_index < dictionary.m):
         raise ValueError(

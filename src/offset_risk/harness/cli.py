@@ -259,9 +259,12 @@ def _cmd_verify(config: ExperimentConfig, out: Path, formats: list[str]) -> int:
     write_json(out / "verify_manifest.json", manifest)
     for r in results:
         line = "pass" if r.passed else "FAIL"
+        # A failing keyed check names the instance that sets its margin.
+        key = r.detail.get("worst_key")
+        replay = f" worst_key {json.dumps(key)}" if key is not None and not r.passed else ""
         print(
             f"[{line}] {r.check_id}: statistic {r.statistic:.6g}, "
-            f"margin {r.margin:.3g} ({r.runtime_s:.1f}s)"
+            f"margin {r.margin:.3g} ({r.runtime_s:.1f}s){replay}"
         )
     print(f"manifest: {out / 'verify_manifest.json'} "
           f"(all_pass={manifest['all_pass']})")

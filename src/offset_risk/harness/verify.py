@@ -7,12 +7,20 @@ the manifest is deterministic for a given (config, seed) -- wall-clock
 runtimes are reported alongside but kept out of the manifest so that two runs
 with the same seed produce byte-identical files.
 
+Every check but ``sparse_shape`` and ``aggregation_rate`` is keyed: its
+instance i is built from ``rng_stream(seed, tag, i)`` alone by a module-level
+evaluator ``(config, rng, index) -> row``, and the check reduces the stacked
+rows. Its ``detail["worst_key"]`` is the ``[seed, tag, index]`` of the first
+instance that sets the margin, so ``evaluate(config, rng_stream(*key),
+key[2])`` rebuilds that instance's row alone.
+
 Deterministic inequalities are checked exactly (tolerance 1e-10 or tighter);
 Monte-Carlo claims carry the confidence slack stated in their check.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -30,6 +38,7 @@ from ..concentration import mgf_verify, self_localization_check, tail_verify
 from ..estimators import check_offset, erm, mirror_descent, star
 from ..instances import (
     random_instance,
+    random_linear_instance,
     random_multiplier_setup,
     random_star_class,
     rate_study_instance,
@@ -58,6 +67,9 @@ SPARSE_RATIO_BOUND = 0.40
 # decay.
 SLOPE_BAND = (-1.25, -0.80)
 
+_LOSS = squared_loss(1.0)
+_MIRROR_STEP = 2e-4
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -70,237 +82,217 @@ class CheckResult:
     runtime_s: float
 
 
-def _result(check_id, description, passed, statistic, margin, detail, t0) -> CheckResult:
-    return CheckResult(
-        check_id=check_id,
-        description=description,
-        passed=bool(passed),
-        statistic=float(statistic),
-        margin=float(margin),
-        detail=detail,
-        runtime_s=time.perf_counter() - t0,
-    )
+def _timed(body):
+    """Time a ``check_<id>`` body returning (description, passed, statistic, margin, detail)."""
+
+    @functools.wraps(body)
+    def check(config: ExperimentConfig) -> CheckResult:
+        t0 = time.perf_counter()
+        description, passed, statistic, margin, detail = body(config)
+        return CheckResult(body.__name__.removeprefix("check_"), description, bool(passed),
+                           float(statistic), float(margin), detail, time.perf_counter() - t0)
+
+    return check
 
 
-def check_star_offset(config: ExperimentConfig) -> CheckResult:
+def _keyed(config: ExperimentConfig, tag: str, count: int, evaluate):
+    """Rows of ``evaluate(config, rng_stream(seed, tag, i), i)`` for i < count.
+
+    Returns the rows stacked as a (count, columns) float array, and
+    ``key(i) -> [seed, tag, i]``, the key that rebuilds instance i alone.
+    """
+    rows = [evaluate(config, rng_stream(config.seed, tag, i), i) for i in range(count)]
+    return (np.array(rows, dtype=np.float64).reshape(count, -1),
+            lambda i: [config.seed, tag, int(i)])
+
+
+def _star_gamma(config: ExperimentConfig) -> float:
+    return config.gamma if config.gamma is not None else 1.0 / 18.0
+
+
+def _star_offset_row(config, rng, index):
+    """(worst margin over every row, margin vs the best row, rows below -1e-10)."""
+    dist, dictionary = random_instance(rng, max_atoms=12, max_m=10, b=1.0)
+    n = int(rng.integers(2, 51))
+    sample = Sample(indices=draw_atom_ids(dist, n, rng))
+    sol = star(sample, dist, _LOSS, dictionary)
+    ref = population_minimizer(dist, _LOSS, dictionary).gstar_index
+    margins = np.array([
+        check_offset(sample, dist, _LOSS, dictionary, sol.weights, g,
+                     gamma=_star_gamma(config), epsilon=0.0).margin
+        for g in range(dictionary.m)
+    ])
+    return margins.min(), margins[ref], np.sum(margins < -1e-10)
+
+
+@_timed
+def check_star_offset(config: ExperimentConfig):
     """Two-step mixture margin versus every row, coefficient 1/18, exact."""
-    t0 = time.perf_counter()
-    gamma = config.gamma if config.gamma is not None else 1.0 / 18.0
-    loss = squared_loss(1.0)
-    worst = np.inf
-    worst_vs_reference = np.inf  # margin against the best row only
-    failures = 0
-    for trial in range(1000):
-        rng = rng_stream(config.seed, "verify-star-offset", trial)
-        dist, dictionary = random_instance(rng, max_atoms=12, max_m=10, b=1.0)
-        n = int(rng.integers(2, 51))
-        sample = Sample(indices=draw_atom_ids(dist, n, rng))
-        sol = star(sample, dist, loss, dictionary)
-        ref = population_minimizer(dist, loss, dictionary).gstar_index
-        for g in range(dictionary.m):
-            report = check_offset(sample, dist, loss, dictionary, sol.weights, g,
-                                  gamma=gamma, epsilon=0.0)
-            worst = min(worst, report.margin)
-            if g == ref:
-                worst_vs_reference = min(worst_vs_reference, report.margin)
-            if report.margin < -1e-10:
-                failures += 1
-    return _result(
-        "star_offset",
-        f"two-step mixture offset margin vs every row (coef {gamma:.6g}, 1000 instances)",
-        failures == 0,
-        worst,
-        worst + 1e-10,
-        {"failures": failures, "instances": 1000, "gamma": gamma,
-         "worst_margin_vs_reference": float(worst_vs_reference)},
-        t0,
-    )
+    rows, key = _keyed(config, "verify-star-offset", 1000, _star_offset_row)
+    worst = rows[:, 0].min()
+    failures = int(rows[:, 2].sum())
+    gamma = _star_gamma(config)
+    return (f"two-step mixture offset margin vs every row (coef {gamma:.6g}, 1000 instances)",
+            failures == 0, worst, worst + 1e-10,
+            {"failures": failures, "instances": 1000, "gamma": gamma,
+             "worst_margin_vs_reference": float(rows[:, 1].min()),
+             "worst_key": key(rows[:, 0].argmin())})
 
 
-def check_self_localization(config: ExperimentConfig) -> CheckResult:
+def _self_localization_row(config, rng, index):
+    """(margin, holds) of the self-localization inequality on one sample."""
+    setup = random_multiplier_setup(rng)
+    n = int(rng.integers(1, 16))
+    holds, margin = self_localization_check(setup, draw_atom_ids(setup.joint, n, rng))
+    return margin, holds
+
+
+@_timed
+def check_self_localization(config: ExperimentConfig):
     """Quadratic mass at the maximizer never exceeds the supremum, exact."""
-    t0 = time.perf_counter()
-    worst = np.inf
-    failures = 0
-    for trial in range(10_000):
-        rng = rng_stream(config.seed, "verify-self-localization", trial)
-        setup = random_multiplier_setup(rng)
-        n = int(rng.integers(1, 16))
-        idx = draw_atom_ids(setup.joint, n, rng)
-        holds, margin = self_localization_check(setup, idx)
-        worst = min(worst, margin)
-        failures += 0 if holds else 1
-    return _result(
-        "self_localization",
-        "maximizer quadratic mass bounded by the supremum (10000 setups)",
-        failures == 0,
-        worst,
-        worst + 1e-10,
-        {"failures": failures, "setups": 10_000},
-        t0,
-    )
+    rows, key = _keyed(config, "verify-self-localization", 10_000, _self_localization_row)
+    worst = rows[:, 0].min()
+    failures = int((rows[:, 1] == 0).sum())
+    return ("maximizer quadratic mass bounded by the supremum (10000 setups)",
+            failures == 0, worst, worst + 1e-10,
+            {"failures": failures, "setups": 10_000, "worst_key": key(rows[:, 0].argmin())})
 
 
-def check_offset_vs_local(config: ExperimentConfig) -> CheckResult:
+def _offset_vs_local_row(config, rng, index):
+    """Localized fixed point + 3 SE minus the offset complexity on one class."""
+    dist, spec = random_star_class(rng)
+    gamma = float(rng.uniform(0.3, 1.5))
+    n = int(rng.integers(4, 24))
+    seed = config.seed + 31 * index
+    off = offset_complexity_mc(dist, spec, gamma, n, replicates=10_000, seed=seed)
+    loc = local_complexity_fixed_point(dist, spec, gamma, n, mc_replicates=10_000,
+                                       r_tol=1e-6, seed=seed + 1)
+    return loc.value + 3.0 * float(np.hypot(off.std_error, loc.std_error)) - off.value
+
+
+@_timed
+def check_offset_vs_local(config: ExperimentConfig):
     """Offset complexity below the localized fixed point, 3-SE slack."""
-    t0 = time.perf_counter()
-    passes = 0
-    gaps = []
     instances, needed = 50, 48
-    for trial in range(instances):
-        rng = rng_stream(config.seed, "verify-offset-local", trial)
-        dist, spec = random_star_class(rng)
-        gamma = float(rng.uniform(0.3, 1.5))
-        n = int(rng.integers(4, 24))
-        off = offset_complexity_mc(dist, spec, gamma, n, replicates=10_000,
-                                   seed=config.seed + 31 * trial)
-        loc = local_complexity_fixed_point(dist, spec, gamma, n, mc_replicates=10_000,
-                                           r_tol=1e-6, seed=config.seed + 31 * trial + 1)
-        slack = 3.0 * float(np.hypot(off.std_error, loc.std_error))
-        gap = loc.value + slack - off.value
-        gaps.append(gap)
-        passes += 1 if gap >= 0 else 0
-    return _result(
-        "offset_vs_local",
-        "offset complexity below localized fixed point + 3 SE (50 classes)",
-        passes >= needed,
-        passes,
-        passes - needed,
-        {"passes": passes, "instances": instances, "min_gap": float(min(gaps))},
-        t0,
-    )
+    rows, key = _keyed(config, "verify-offset-local", instances, _offset_vs_local_row)
+    gaps = rows[:, 0]
+    passes = int((gaps >= 0).sum())
+    return ("offset complexity below localized fixed point + 3 SE (50 classes)",
+            passes >= needed, passes, passes - needed,
+            {"passes": passes, "instances": instances, "min_gap": float(gaps.min()),
+             "worst_key": key(gaps.argmin())})
 
 
-def check_sparse_identity(config: ExperimentConfig) -> CheckResult:
+def _sparse_identity_row(config, rng, index):
+    """(deviation from the dense solve, worst projector invariant) on one draw."""
+    n = int(rng.integers(6, 17))
+    d = int(rng.integers(2, 7))
+    size = int(rng.integers(1, min(4, d) + 1))
+    subset = tuple(sorted(rng.choice(d, size=size, replace=False)))
+    phi = rng.normal(size=(n, d))
+    if rng.random() < 0.3 and size >= 2:
+        phi[:, subset[1]] = 2.0 * phi[:, subset[0]]  # force rank deficiency
+    sigma = rng.choice([-1.0, 1.0], size=n)
+    gamma = float(rng.uniform(0.3, 2.0))
+    H = hat_matrix(phi[:, subset])
+    value = float(sigma @ H @ sigma) / (4.0 * gamma)
+    cols = phi[:, subset]
+    gram = cols.T @ cols
+    rhs = cols.T @ sigma
+    w, *_ = np.linalg.lstsq(2.0 * gamma * gram, rhs, rcond=None)
+    oracle = float(w @ rhs - gamma * w @ gram @ w)
+    invariant = max(float(np.max(np.abs(H - H.T))), float(np.max(np.abs(H @ H - H))),
+                    max(0.0, float(np.sum(H * H)) - size))
+    return abs(value - oracle), invariant
+
+
+@_timed
+def check_sparse_identity(config: ExperimentConfig):
     """Projector quadratic form versus dense solves; projector invariants."""
-    t0 = time.perf_counter()
-    worst_dev = 0.0
-    worst_invariant = 0.0
-    for trial in range(100):
-        rng = rng_stream(config.seed, "verify-sparse-identity", trial)
-        n = int(rng.integers(6, 17))
-        d = int(rng.integers(2, 7))
-        size = int(rng.integers(1, min(4, d) + 1))
-        subset = tuple(sorted(rng.choice(d, size=size, replace=False)))
-        phi = rng.normal(size=(n, d))
-        if rng.random() < 0.3 and size >= 2:
-            phi[:, subset[1]] = 2.0 * phi[:, subset[0]]  # force rank deficiency
-        sigma = rng.choice([-1.0, 1.0], size=n)
-        gamma = float(rng.uniform(0.3, 2.0))
-        H = hat_matrix(phi[:, subset])
-        value = float(sigma @ H @ sigma) / (4.0 * gamma)
-        cols = phi[:, subset]
-        gram = cols.T @ cols
-        rhs = cols.T @ sigma
-        w, *_ = np.linalg.lstsq(2.0 * gamma * gram, rhs, rcond=None)
-        oracle = float(w @ rhs - gamma * w @ gram @ w)
-        worst_dev = max(worst_dev, abs(value - oracle))
-        worst_invariant = max(
-            worst_invariant,
-            float(np.max(np.abs(H - H.T))),
-            float(np.max(np.abs(H @ H - H))),
-            max(0.0, float(np.sum(H * H)) - size),
-        )
-    passed = worst_dev <= 1e-8 and worst_invariant <= 1e-8
-    return _result(
-        "sparse_identity",
-        "projector quadratic form matches dense solves; projector invariants (100 draws)",
-        passed,
-        worst_dev,
-        1e-8 - max(worst_dev, worst_invariant),
-        {"max_oracle_dev": worst_dev, "max_invariant_dev": worst_invariant},
-        t0,
-    )
+    rows, key = _keyed(config, "verify-sparse-identity", 100, _sparse_identity_row)
+    worst_dev, worst_invariant = (float(v) for v in rows.max(axis=0))
+    return ("projector quadratic form matches dense solves; projector invariants (100 draws)",
+            worst_dev <= 1e-8 and worst_invariant <= 1e-8,
+            worst_dev, 1e-8 - max(worst_dev, worst_invariant),
+            {"max_oracle_dev": worst_dev, "max_invariant_dev": worst_invariant,
+             "worst_key": key(rows.max(axis=1).argmax())})
 
 
-def check_sparse_shape(config: ExperimentConfig) -> CheckResult:
+def _sparse_ratios(report) -> list[float]:
+    """Sweep ratios at gamma = 0.5, 1, 2 from one gamma = 1 bound report.
+
+    Dividing by a power of two is exact, so each is bit for bit the ratio of
+    a sparse_offset_bound_check call at that gamma, at a third of the cost.
+    """
+    return [float((report.per_sigma / g).mean() / (report.benchmark / g)) for g in (0.5, 1.0, 2.0)]
+
+
+@_timed
+def check_sparse_shape(config: ExperimentConfig):
     """Sweep ratios below the frozen constant; exact inverse-gamma scaling."""
-    t0 = time.perf_counter()
     max_ratio = 0.0
     scaling_dev = 0.0
     for d in (8, 16, 32):
         for k in (1, 2, 4):
             rng = rng_stream(config.seed, f"verify-sparse-shape-d{d}-k{k}")
             phi = rng.normal(size=(64, d))
-            for gamma in (0.5, 1.0, 2.0):
-                spec = SparseClassSpec(features=phi, k=k, gamma=gamma)
-                report = sparse_offset_bound_check(spec, sigma_replicates=1000,
-                                                   seed=config.seed + 7)
-                max_ratio = max(max_ratio, report.ratio)
+            report = sparse_offset_bound_check(SparseClassSpec(features=phi, k=k, gamma=1.0),
+                                               sigma_replicates=1000, seed=config.seed + 7)
+            max_ratio = max(max_ratio, *_sparse_ratios(report))
             sig_rng = rng_stream(config.seed, f"verify-sparse-scaling-d{d}-k{k}")
             sigmas = sig_rng.integers(0, 2, size=(8, 64)) * 2.0 - 1.0
             v1 = sparse_offset_values(SparseClassSpec(features=phi, k=k, gamma=1.0), sigmas)
             v2 = sparse_offset_values(SparseClassSpec(features=phi, k=k, gamma=2.0), sigmas)
             scale = np.maximum(1.0, np.abs(v1))
             scaling_dev = max(scaling_dev, float(np.max(np.abs(2.0 * v2 - v1) / scale)))
-    passed = max_ratio <= SPARSE_RATIO_BOUND and scaling_dev <= 1e-10
-    return _result(
-        "sparse_shape",
-        f"sweep ratio vs k log(ed/k)/(gamma n) bounded by {SPARSE_RATIO_BOUND}",
-        passed,
-        max_ratio,
-        SPARSE_RATIO_BOUND - max_ratio,
-        {"max_ratio": max_ratio, "inverse_gamma_scaling_dev": scaling_dev},
-        t0,
-    )
+    return (f"sweep ratio vs k log(ed/k)/(gamma n) bounded by {SPARSE_RATIO_BOUND}",
+            max_ratio <= SPARSE_RATIO_BOUND and scaling_dev <= 1e-10,
+            max_ratio, SPARSE_RATIO_BOUND - max_ratio,
+            {"max_ratio": max_ratio, "inverse_gamma_scaling_dev": scaling_dev})
 
 
-def _mgf_setups(seed: int):
-    for trial in range(10):
-        rng = rng_stream(seed, "verify-mgf-setups", trial)
-        yield trial, random_multiplier_setup(rng), int(rng.integers(4, 9))
+def _mgf_row(config, rng, index):
+    """(MGF violations, self-localization failures, worst CI excess) on one setup."""
+    setup = random_multiplier_setup(rng)
+    report = mgf_verify(setup, n=int(rng.integers(4, 9)), replicates=100_000,
+                        seed=config.seed + 997 * index, bootstrap_resamples=1000)
+    return (len(report.violations), report.self_localization_failures,
+            np.max(report.log_mgf_ci_lower - report.bound))
 
 
-def check_mgf_bound(config: ExperimentConfig) -> CheckResult:
+@_timed
+def check_mgf_bound(config: ExperimentConfig):
     """Bootstrap lower band of the log-MGF never crosses the sub-gamma curve."""
-    t0 = time.perf_counter()
-    total_violations = 0
-    failures = 0
-    max_excess = -np.inf
-    for trial, setup, n in _mgf_setups(config.seed):
-        report = mgf_verify(setup, n=n, replicates=100_000,
-                            seed=config.seed + 997 * trial, bootstrap_resamples=1000)
-        total_violations += len(report.violations)
-        failures += report.self_localization_failures
-        max_excess = max(max_excess, float(np.max(report.log_mgf_ci_lower - report.bound)))
-    passed = total_violations == 0 and failures == 0
-    return _result(
-        "mgf_bound",
-        "log-MGF of the supremum below its variance-by-mean curve (10 setups)",
-        passed,
-        total_violations,
-        -max_excess,
-        {"violations": total_violations, "self_localization_failures": failures,
-         "max_ci_excess": max_excess},
-        t0,
-    )
+    rows, key = _keyed(config, "verify-mgf-setups", 10, _mgf_row)
+    violations, failures = (int(v) for v in rows[:, :2].sum(axis=0))
+    max_excess = float(rows[:, 2].max())
+    return ("log-MGF of the supremum below its variance-by-mean curve (10 setups)",
+            violations == 0 and failures == 0, violations, -max_excess,
+            {"violations": violations, "self_localization_failures": failures,
+             "max_ci_excess": max_excess, "worst_key": key(rows[:, 2].argmax())})
 
 
-def check_tail_bound(config: ExperimentConfig) -> CheckResult:
+def _tail_row(config, rng, index):
+    """(worst exceedance minus allowance, holds) on one setup."""
+    setup = random_multiplier_setup(rng)
+    report = tail_verify(setup, n=int(rng.integers(4, 9)), replicates=100_000,
+                         delta_grid=np.array([0.1, 0.01]), seed=config.seed + 997 * index)
+    return np.max(report.exceed_freq - report.allowed), report.holds
+
+
+@_timed
+def check_tail_bound(config: ExperimentConfig):
     """Exceedance of 2*mean + (3/2) eta log(1/delta) within binomial slack."""
-    t0 = time.perf_counter()
-    worst = -np.inf
-    all_hold = True
-    deltas = np.array([0.1, 0.01])
-    for trial, setup, n in _mgf_setups(config.seed):
-        report = tail_verify(setup, n=n, replicates=100_000, delta_grid=deltas,
-                             seed=config.seed + 997 * trial)
-        worst = max(worst, float(np.max(report.exceed_freq - report.allowed)))
-        all_hold = all_hold and report.holds
-    return _result(
-        "tail_bound",
-        "deviation-form exceedance frequencies within allowance (same 10 setups)",
-        all_hold,
-        worst,
-        -worst,
-        {"max_freq_minus_allowed": worst},
-        t0,
-    )
+    rows, key = _keyed(config, "verify-mgf-setups", 10, _tail_row)
+    worst = float(rows[:, 0].max())
+    return ("deviation-form exceedance frequencies within allowance (same 10 setups)",
+            rows[:, 1].all(), worst, -worst,
+            {"max_freq_minus_allowed": worst, "worst_key": key(rows[:, 0].argmax())})
 
 
-def check_aggregation_rate(config: ExperimentConfig) -> CheckResult:
+@_timed
+def check_aggregation_rate(config: ExperimentConfig):
     """Log-log slope of the 0.95-quantile excess risk close to -1."""
-    t0 = time.perf_counter()
     dist, dictionary = rate_study_instance()
     slopes = {}
     for estimator in ("star", "midpoint"):
@@ -313,102 +305,71 @@ def check_aggregation_rate(config: ExperimentConfig) -> CheckResult:
         slopes[estimator] = study.rate.slope if study.rate is not None else np.nan
     lo, hi = SLOPE_BAND
     finite = all(np.isfinite(s) for s in slopes.values())
-    passed = finite and all(lo <= s <= hi for s in slopes.values())
     margin = min(min(s - lo, hi - s) for s in slopes.values()) if finite else -np.inf
-    return _result(
-        "aggregation_rate",
-        f"quantile excess-risk slopes within [{lo}, {hi}] for star and midpoint",
-        passed,
-        slopes["star"],
-        margin,
-        {"slopes": slopes},
-        t0,
-    )
+    return (f"quantile excess-risk slopes within [{lo}, {hi}] for star and midpoint",
+            finite and all(lo <= s <= hi for s in slopes.values()),
+            slopes["star"], margin, {"slopes": slopes})
 
 
-def check_mirror_descent(config: ExperimentConfig) -> CheckResult:
+def _mirror_row(config, rng, index):
+    """(smallest stopping margin, failed) on one run; inf when t* is never reached."""
+    positive = index % 2 == 1
+    dist, sample, w_star, w0 = random_linear_instance(rng, positive=positive)
+    trace = mirror_descent(sample, dist, _LOSS, w_star, w0,
+                           mirror_map="negative_entropy" if positive else "euclidean",
+                           epsilon=0.05, step=_MIRROR_STEP)
+    if trace.t_star is None or trace.offset is None:
+        return np.inf, True
+    slack_t = trace.euler_excess / trace.epsilon + _MIRROR_STEP
+    c1_margin = (2.0 * trace.bregman_initial / trace.epsilon + slack_t) - trace.t_star
+    c2_margin = (trace.bregman_initial + trace.euler_excess + 1e-9) - trace.bregman_path[-1][1]
+    c3_margin = trace.offset.margin + 1e-12
+    worst = min(c1_margin, c2_margin, c3_margin)
+    return worst, worst < 0
+
+
+@_timed
+def check_mirror_descent(config: ExperimentConfig):
     """Stopping-time bound, divergence containment, offset margin; analytic flow."""
-    t0 = time.perf_counter()
-    loss = squared_loss(1.0)
-    step = 2e-4
-    worst = np.inf
-    failures = 0
-    for trial in range(100):
-        rng = rng_stream(config.seed, "verify-mirror", trial)
-        mirror_map = "euclidean" if trial % 2 == 0 else "negative_entropy"
-        s = int(rng.integers(4, 16))
-        d = int(rng.integers(2, 5))
-        xs = rng.normal(size=(s, d))
-        ys = rng.uniform(-1, 1, size=s)
-        dist = DiscreteDistribution(xs=xs, ys=ys, probs=np.full(s, 1 / s), b=1.0)
-        sample = Sample(indices=np.arange(s))
-        if mirror_map == "negative_entropy":
-            w_star = rng.uniform(0.0, 0.8, size=d)
-            w0 = rng.uniform(0.2, 1.0, size=d)
-        else:
-            w_star = rng.normal(scale=0.5, size=d)
-            w0 = rng.normal(scale=0.5, size=d)
-        trace = mirror_descent(sample, dist, loss, w_star, w0, mirror_map=mirror_map,
-                               epsilon=0.05, step=step)
-        if trace.t_star is None or trace.offset is None:
-            failures += 1
-            continue
-        slack_t = trace.euler_excess / trace.epsilon + step
-        c1_margin = (2.0 * trace.bregman_initial / trace.epsilon + slack_t) - trace.t_star
-        c2_margin = (trace.bregman_initial + trace.euler_excess + 1e-9) - trace.bregman_path[-1][1]
-        c3_margin = trace.offset.margin + 1e-12
-        worst = min(worst, c1_margin, c2_margin, c3_margin)
-        if min(c1_margin, c2_margin, c3_margin) < 0:
-            failures += 1
+    rows, key = _keyed(config, "verify-mirror", 100, _mirror_row)
+    worst = rows[:, 0].min()
+    failures = int(rows[:, 1].sum())
     # Analytic scalar flow: w_t = exp(-2t).
     dist1 = DiscreteDistribution(xs=[[1.0]], ys=[0.0], probs=[1.0], b=1.0)
-    trace1 = mirror_descent(Sample(indices=[0]), dist1, loss, [0.0], [1.0],
+    trace1 = mirror_descent(Sample(indices=[0]), dist1, _LOSS, [0.0], [1.0],
                             epsilon=0.05, step=1e-3)
     ts = np.array([t for t, _ in trace1.w_path])
     ws = np.array([w[0] for _, w in trace1.w_path])
     analytic_dev = float(np.max(np.abs(ws - np.exp(-2.0 * ts))))
-    analytic_ok = analytic_dev <= 5.0 * 1e-3
-    passed = failures == 0 and analytic_ok
-    return _result(
-        "mirror_descent",
-        "early-stopping conditions with measured Euler slack (100 runs) + analytic flow",
-        passed,
-        worst,
-        worst,
-        {"failures": failures, "analytic_dev": analytic_dev, "step": step},
-        t0,
-    )
+    return ("early-stopping conditions with measured Euler slack (100 runs) + analytic flow",
+            failures == 0 and analytic_dev <= 5.0 * 1e-3, worst, worst,
+            {"failures": failures, "analytic_dev": analytic_dev, "step": _MIRROR_STEP,
+             "worst_key": key(rows[:, 0].argmin())})
 
 
-def check_duality(config: ExperimentConfig) -> CheckResult:
+def _duality_row(config, rng, index):
+    """Largest |offset margin - gamma * Bernstein margin| over one instance's rows."""
+    dist, dictionary = random_instance(rng)
+    n = int(rng.integers(3, 40))
+    sample = Sample(indices=draw_atom_ids(dist, n, rng))
+    gamma = float(rng.uniform(0.05, 2.0)) if index % 2 else 1.0
+    e = erm(sample, dist, _LOSS, dictionary)
+    pn = empirical_measure(sample, dist)
+    bern = bernstein_check(pn, _LOSS, dictionary.values, dictionary.values[e], gamma)
+    w = PredictorWeights(weights=np.eye(dictionary.m)[e])
+    return max(abs(check_offset(sample, dist, _LOSS, dictionary, w, g, gamma).margin
+                   - gamma * bern.margins[g]) for g in range(dictionary.m))
+
+
+@_timed
+def check_duality(config: ExperimentConfig):
     """Offset margins for the empirical minimizer equal scaled Bernstein margins."""
-    t0 = time.perf_counter()
-    loss = squared_loss(1.0)
-    worst = 0.0
-    for trial in range(100):
-        rng = rng_stream(config.seed, "verify-duality", trial)
-        dist, dictionary = random_instance(rng)
-        n = int(rng.integers(3, 40))
-        sample = Sample(indices=draw_atom_ids(dist, n, rng))
-        gamma = float(rng.uniform(0.05, 2.0)) if trial % 2 else 1.0
-        e = erm(sample, dist, loss, dictionary)
-        pn = empirical_measure(sample, dist)
-        bern = bernstein_check(pn, loss, dictionary.values, dictionary.values[e], gamma)
-        w = PredictorWeights(weights=np.eye(dictionary.m)[e])
-        for g in range(dictionary.m):
-            off = check_offset(sample, dist, loss, dictionary, w, g, gamma)
-            worst = max(worst, abs(off.margin - gamma * bern.margins[g]))
-    passed = worst <= 1e-12
-    return _result(
-        "duality",
-        "offset margins for the empirical minimizer match Bernstein margins at "
-        "the empirical measure (100 instances)",
-        passed,
-        worst,
-        1e-12 - worst,
-        {"max_margin_dev": worst},
-        t0,
-    )
+    rows, key = _keyed(config, "verify-duality", 100, _duality_row)
+    worst = float(rows[:, 0].max())
+    return ("offset margins for the empirical minimizer match Bernstein margins at "
+            "the empirical measure (100 instances)",
+            worst <= 1e-12, worst, 1e-12 - worst,
+            {"max_margin_dev": worst, "worst_key": key(rows[:, 0].argmax())})
 
 
 _CHECKS = {check_id: globals()[f"check_{check_id}"] for check_id in CHECK_IDS}

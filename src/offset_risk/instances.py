@@ -10,10 +10,11 @@ import numpy as np
 
 from .complexity import FiniteClassSpec
 from .concentration import MultiplierSetup
-from .model import Dictionary, DiscreteDistribution
+from .model import Dictionary, DiscreteDistribution, Sample
 
 __all__ = [
     "random_instance",
+    "random_linear_instance",
     "random_star_class",
     "random_multiplier_setup",
     "rate_study_instance",
@@ -43,6 +44,31 @@ def random_instance(
         DiscreteDistribution(xs=xs, ys=ys, probs=probs, b=b),
         Dictionary(values=values, b=b),
     )
+
+
+def random_linear_instance(
+    rng: np.random.Generator, positive: bool = False
+) -> tuple[DiscreteDistribution, Sample, np.ndarray, np.ndarray]:
+    """A random linear mirror-descent problem: (dist, sample, w_star, w0).
+
+    4 to 15 equally likely atoms with Gaussian features in 2 to 4 dimensions
+    and responses uniform on [-1, 1]; the sample holds every atom once. With
+    ``positive`` (the negative-entropy map's domain) w_star is uniform on
+    [0, 0.8] and w0 on [0.2, 1], otherwise both are N(0, 0.25) per coordinate.
+    Draws run s, d, xs, ys, w_star, w0.
+    """
+    s = int(rng.integers(4, 16))
+    d = int(rng.integers(2, 5))
+    xs = rng.normal(size=(s, d))
+    ys = rng.uniform(-1, 1, size=s)
+    dist = DiscreteDistribution(xs=xs, ys=ys, probs=np.full(s, 1 / s), b=1.0)
+    if positive:
+        w_star = rng.uniform(0.0, 0.8, size=d)
+        w0 = rng.uniform(0.2, 1.0, size=d)
+    else:
+        w_star = rng.normal(scale=0.5, size=d)
+        w0 = rng.normal(scale=0.5, size=d)
+    return dist, Sample(indices=np.arange(s)), w_star, w0
 
 
 def random_star_class(rng: np.random.Generator) -> tuple[DiscreteDistribution, FiniteClassSpec]:

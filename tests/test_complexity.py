@@ -422,6 +422,13 @@ class TestLocalFixedPoint:
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             local_complexity_fixed_point(**args)
 
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_phi_from_stats_rejects_bad_gamma(self, gamma):
+        # NaN used to give a NaN curve value and inf a silent 0.
+        S, pop_sq = np.array([[0.5, -0.25], [0.1, 0.3]]), np.array([0.5, 0.2])
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            phi_from_stats(S, pop_sq, gamma, 0.1)
+
     def test_zero_class(self):
         dist = uniform_dist(4)
         spec = FiniteClassSpec(base=np.zeros((1, 4)))

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from offset_risk.complexity import _lowest_best
-from offset_risk.estimators import _fit_rows, check_offset, erm, midpoint, star
+from offset_risk.estimators import (
+    _fit_rows,
+    check_offset,
+    erm,
+    midpoint,
+    offset_report_from_values,
+    star,
+)
 from offset_risk.harness.aggregate import run_aggregate
 from offset_risk.harness.config import ExperimentConfig
 from offset_risk.instances import random_instance, rate_study_instance
@@ -316,6 +323,12 @@ class TestCheckOffset:
         w = PredictorWeights(weights=np.eye(dictionary.m)[0])
         with pytest.raises(ValueError, match="gamma must be positive and finite"):
             check_offset(sample, dist, LOSS, dictionary, w, 0, gamma=gamma)
+
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_report_from_values_rejects_bad_gamma(self, gamma):
+        # NaN used to report margin=nan, holds=False.
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            offset_report_from_values(0.0, 1.0, gamma, 0.0)
 
 
 class TestOffsetBernsteinDuality:

@@ -2,19 +2,21 @@
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from offset_risk.harness import cli
+from offset_risk.complexity import SparseClassSpec, sparse_offset_bound_check
+from offset_risk.harness import cli, verify
 from offset_risk.harness.aggregate import fit_rate, run_aggregate
 from offset_risk.harness.config import ExperimentConfig, config_hash
 from offset_risk.harness.outputs import read_csv, write_csv, write_json, write_svg
 from offset_risk.harness.verify import run_verify
 from offset_risk.instances import rate_study_instance
-from offset_risk.model import Dictionary
+from offset_risk.model import Dictionary, rng_stream
 
 
 class TestConfig:
@@ -278,6 +280,47 @@ class TestRunVerify:
         assert manifest["all_pass"] is False
         assert manifest["checks"][0]["status"] == "fail"
         assert results[0].detail["failures"] > 0
+        # The worst key rebuilds one of the violating instances alone.
+        key = results[0].detail["worst_key"]
+        row = verify._star_offset_row(cfg, rng_stream(*key), key[2])
+        assert row[0] < -1e-10 and row[0] == results[0].statistic
+
+    @pytest.mark.parametrize("check_id, evaluate, tag", [
+        ("star_offset", verify._star_offset_row, "verify-star-offset"),
+        ("sparse_identity", verify._sparse_identity_row, "verify-sparse-identity"),
+        ("duality", verify._duality_row, "verify-duality"),
+    ])
+    def test_worst_key_rebuilds_the_margin_row(self, check_id, evaluate, tag):
+        cfg = ExperimentConfig(command="verify", seed=0)
+        result = getattr(verify, f"check_{check_id}")(cfg)
+        seed, key_tag, index = key = result.detail["worst_key"]
+        assert (seed, key_tag) == (0, tag) and isinstance(index, int)
+        row = np.atleast_1d(evaluate(cfg, rng_stream(*key), index))
+        if check_id == "sparse_identity":
+            # The margin is set by the larger of the two deviations; at seed 0
+            # that is a projector invariant, in another draw than the statistic.
+            detail = result.detail
+            assert max(row) == max(detail["max_oracle_dev"], detail["max_invariant_dev"])
+        else:
+            assert row[0] == result.statistic
+        # No earlier instance sets it: the key names the first one.
+        for earlier in range(index):
+            other = np.atleast_1d(evaluate(cfg, rng_stream(seed, tag, earlier), earlier))
+            if check_id == "star_offset":
+                assert other[0] > row[0]
+            else:
+                assert max(other) < max(row)
+
+    def test_sparse_ratios_match_one_call_per_gamma(self):
+        phi = rng_stream(0, "verify-sparse-shape-d8-k2").normal(size=(64, 8))
+        one = sparse_offset_bound_check(SparseClassSpec(features=phi, k=2, gamma=1.0),
+                                        sigma_replicates=1000, seed=7)
+        direct = [
+            sparse_offset_bound_check(SparseClassSpec(features=phi, k=2, gamma=g),
+                                      sigma_replicates=1000, seed=7).ratio
+            for g in (0.5, 1.0, 2.0)
+        ]
+        assert verify._sparse_ratios(one) == direct
 
 
 class TestCli:
@@ -304,6 +347,27 @@ class TestCli:
         res = self.run_cli("verify", "--config", str(bad), "--out", str(tmp_path / "o2"))
         assert res.returncode == 1
         assert "[FAIL] star_offset" in res.stdout
+        manifest = json.loads((tmp_path / "o2" / "verify_manifest.json").read_text())
+        key = manifest["checks"][0]["detail"]["worst_key"]
+        fail_line = next(line for line in res.stdout.splitlines() if line.startswith("[FAIL]"))
+        assert fail_line.endswith(f"worst_key {json.dumps(key)}")
+
+    def test_verify_manifest_independent_of_hash_seed(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": "verify", "seed": 0,
+                                   "checks": ["duality", "sparse_identity"]}))
+        manifests = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"out{hash_seed}"
+            res = subprocess.run(
+                [sys.executable, "-m", "offset_risk.harness.cli", "verify",
+                 "--config", str(cfg), "--out", str(out)],
+                capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": hash_seed},
+            )
+            assert res.returncode == 0, res.stderr
+            manifests.append((out / "verify_manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+        assert b"worst_key" in manifests[0]
 
     def test_aggregate_outputs_round_trip(self, tmp_path):
         cfg = tmp_path / "agg.json"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from offset_risk.estimators import DivergenceError, mirror_descent
+from offset_risk.instances import random_linear_instance
 from offset_risk.model import DiscreteDistribution, Sample, squared_loss
 
 LOSS = squared_loss(1.0)
@@ -14,22 +15,6 @@ def scalar_instance():
     # is w_t = exp(-2t) from w_0 = 1.
     dist = DiscreteDistribution(xs=[[1.0]], ys=[0.0], probs=[1.0], b=1.0)
     return dist, Sample(indices=[0])
-
-
-def random_linear_instance(rng, positive=False):
-    s = int(rng.integers(4, 16))
-    d = int(rng.integers(2, 5))
-    xs = rng.normal(size=(s, d))
-    ys = rng.uniform(-1, 1, size=s)
-    dist = DiscreteDistribution(xs=xs, ys=ys, probs=np.full(s, 1 / s), b=1.0)
-    sample = Sample(indices=np.arange(s))
-    if positive:
-        w_star = rng.uniform(0.0, 0.8, size=d)
-        w0 = rng.uniform(0.2, 1.0, size=d)
-    else:
-        w_star = rng.normal(scale=0.5, size=d)
-        w0 = rng.normal(scale=0.5, size=d)
-    return dist, sample, w_star, w0
 
 
 class TestAnalyticExample:
