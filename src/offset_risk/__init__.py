@@ -16,7 +16,7 @@ from .model import (
     load_instance,
     load_instance_file,
     predict_all,
-    replicate_draws,
+    replicate_counts,
     rng_stream,
     squared_loss,
 )

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from math import comb, log
+from math import comb, isnan, log
 
 import numpy as np
 
-from .model import DiscreteDistribution, _atom_counts, _id_array, replicate_draws
+from .model import DiscreteDistribution, _id_array, replicate_counts
 
 __all__ = [
     "FiniteClassSpec",
@@ -184,8 +184,8 @@ def _per_draw_sups(
     the population penalty is omitted (the sample-conditional variant).
     Each draw's sums depend on its n atom ids only through its signed and
     plain atom counts: ``signed`` is (R, s), and ``counts`` is (R, s) or one
-    (1, s) row that every draw shares. So memory is O(R s), not the
-    O(R n k) of a gather.
+    (1, s) row that every draw shares. So memory is O(R (s + k)), not the
+    O(R n k) of a gather; ``model.replicate_counts`` holds no (R, n) ids.
     """
     quad = gamma * (counts @ class_spec._base_sq.T)
     if pop_sq is not None:
@@ -208,12 +208,7 @@ def offset_complexity_draws(
         raise ValueError(f"gamma must be nonnegative and finite, got {gamma!r}")
     if class_spec.base.shape[1] != dist.size:
         raise ValueError("class value tables must match the support size")
-    idx, signs = replicate_draws(seed, "offset-complexity", replicates, n, dist, signs=True)
-    # Both counts come from one flat id array (model._atom_counts builds its own).
-    size = replicates * dist.size
-    flat = (idx + np.arange(0, size, dist.size)[:, None]).ravel()
-    signed = np.bincount(flat, weights=signs.ravel(), minlength=size).reshape(replicates, -1)
-    counts = np.bincount(flat, minlength=size).reshape(replicates, -1)
+    counts, signed = replicate_counts(seed, "offset-complexity", replicates, n, dist, signs=True)
     pop_sq = class_spec._base_sq @ dist.probs if include_population_term else None
     return _per_draw_sups(class_spec, gamma, n, signed, counts, pop_sq)
 
@@ -272,6 +267,8 @@ def empirical_offset_complexity(
     idx = _id_array(sample_x)
     n = idx.size
     s = class_spec.base.shape[1]
+    if n < 1:
+        raise ValueError("the sample needs at least one atom id")
     if idx.min() < 0 or idx.max() >= s:
         raise ValueError(f"atom ids must lie in [0, {s})")
     if exact:
@@ -281,8 +278,8 @@ def empirical_offset_complexity(
     else:
         if sigma_replicates < 1:
             raise ValueError("need at least one sign replicate outside exact mode")
-        _, signs = replicate_draws(seed, "empirical-offset-sigma", sigma_replicates, n,
-                                   signs=True)
+        _, signs = replicate_counts(seed, "empirical-offset-sigma", sigma_replicates, n,
+                                    signs=True)
     one_hot = np.eye(s)[idx]  # (n, s): row i marks atom idx[i]
     signed = signs @ one_hot  # integer sums, so exact in any order
     del signs  # the largest array here; the suprema read counts only
@@ -307,10 +304,8 @@ def local_sup_stats(
     """
     if class_spec.base.shape[1] != dist.size:
         raise ValueError("class value tables must match the support size")
-    idx, signs = replicate_draws(seed, "local-complexity", replicates, n, dist, signs=True)
-    S = (_atom_counts(idx, dist.size, signs) @ class_spec.base.T) / n
-    pop_sq = class_spec._base_sq @ dist.probs
-    return S, pop_sq
+    _, signed = replicate_counts(seed, "local-complexity", replicates, n, dist, signs=True)
+    return signed @ class_spec.base.T / n, class_spec._base_sq @ dist.probs
 
 
 def phi_from_stats(
@@ -324,9 +319,10 @@ def phi_from_stats(
     """
     if not 0 < gamma < np.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
+    if isnan(r):
+        raise ValueError("radius r must be a number, got nan")
     if r <= 0:
-        zeros = np.zeros(S.shape[0])
-        return 0.0, zeros
+        return 0.0, np.zeros(S.shape[0])
     with np.errstate(divide="ignore", invalid="ignore"):
         lam_max = np.where(pop_sq > 0, np.minimum(1.0, np.sqrt(r / (gamma * pop_sq))), 1.0)
     per_draw = np.maximum(0.0, np.max(lam_max[None, :] * S, axis=1))
@@ -423,8 +419,6 @@ def sparse_offset_exact(spec: SparseClassSpec, sigma: np.ndarray) -> float:
     :func:`sparse_offset_values`.
     """
     sigma = np.asarray(sigma, dtype=np.float64).ravel()
-    if sigma.shape[0] != spec.n:
-        raise ValueError("sigma must have one entry per feature row")
     return float(sparse_offset_values(spec, sigma[None, :])[0])
 
 
@@ -499,6 +493,8 @@ def sparse_offset_values(spec: SparseClassSpec, sigmas: np.ndarray) -> np.ndarra
     computed with stacked subset bases so that sweeps stay affordable.
     """
     sigmas = np.atleast_2d(np.asarray(sigmas, dtype=np.float64))
+    if sigmas.shape[1] != spec.n:
+        raise ValueError("sigma must have one entry per feature row")
     basis_rows, starts = _stacked_subset_bases(spec)
     if basis_rows.shape[0] == 0:
         return np.zeros(sigmas.shape[0])
@@ -522,7 +518,7 @@ def sparse_offset_bound_check(
     universal constant.
     """
     n = spec.n
-    _, sigmas = replicate_draws(seed, "sparse-offset-sigma", sigma_replicates, n, signs=True)
+    _, sigmas = replicate_counts(seed, "sparse-offset-sigma", sigma_replicates, n, signs=True)
     per_sigma = sparse_offset_values(spec, sigmas) / n
     estimate = _mc_estimate(per_sigma, spec.gamma, "sparse_exact")
     benchmark = (1.0 / spec.gamma) * spec.k * log(np.e * spec.d / spec.k) / n

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complexity import FiniteClassSpec, _std_error, star_hull_sup
-from .model import DiscreteDistribution, _atom_counts, _id_array, replicate_draws, rng_stream
+from .model import DiscreteDistribution, _atom_counts, _id_array, replicate_counts, rng_stream
 
 __all__ = [
     "MultiplierSetup",
@@ -131,11 +131,10 @@ class TailReport:
     holds: bool
 
 
-def _sup_kernel(setup: MultiplierSetup, idx: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(argmax, lam, U) per row of (R, n) atom ids, then the (R, k) tables A and B."""
-    n = idx.shape[1]
+def _sup_kernel(setup: MultiplierSetup, counts: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """(argmax, lam, U) per row of (R, s) counts of n atom draws, then the (R, k) A and B."""
     k = setup.class_spec.base.shape[0]
-    sums = _atom_counts(idx, setup.joint.size) @ setup._table.T  # (R, 2k)
+    sums = counts @ setup._table.T  # (R, 2k)
     linear = sums[:, :k] - n * setup._table_mean[:k]
     quad = setup.gamma * (n * setup._table_mean[k:] + sums[:, k:])
     return (*star_hull_sup(linear, quad), linear, quad)
@@ -147,7 +146,7 @@ def multiplier_sup(setup: MultiplierSetup, atom_ids: np.ndarray) -> MultiplierSu
     s = setup.joint.size
     if idx.size and (idx.min() < 0 or idx.max() >= s):
         raise ValueError(f"atom ids must lie in [0, {s})")
-    best, lam, value, linear, quad = _sup_kernel(setup, idx[None, :])
+    best, lam, value, linear, quad = _sup_kernel(setup, _atom_counts(idx[None, :], s), idx.size)
     j, lam = int(best[0]), float(lam[0])
     return MultiplierSupResult(
         value=float(value[0]),
@@ -173,10 +172,10 @@ def simulate_sup_draws(
     """Replicated draws of (U, B at the maximizer), vectorized over replicates.
 
     Each replicate owns a keyed stream, so results are independent of
-    batching and execution order.
+    batching and execution order; the kernel reads their atom counts only.
     """
-    idx, _ = replicate_draws(seed, "multiplier-sample", replicates, n, setup.joint)
-    best, lam, sup, _, quad = _sup_kernel(setup, idx)
+    counts, _ = replicate_counts(seed, "multiplier-sample", replicates, n, setup.joint)
+    best, lam, sup, _, quad = _sup_kernel(setup, counts, n)
     return sup, lam**2 * quad[np.arange(replicates), best]
 
 

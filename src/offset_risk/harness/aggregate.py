@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..estimators import _fit_rows
-from ..model import Dictionary, DiscreteDistribution, _atom_counts, replicate_draws, squared_loss
+from ..model import Dictionary, DiscreteDistribution, replicate_counts, squared_loss
 from ..risk import population_minimizer, population_risk_of_values
 from .config import ExperimentConfig, resolve_instance
 
@@ -36,11 +36,13 @@ class AggregateStudy:
     delta: float
     rows: list[tuple[int, int, float]]  # (n, replicate, excess risk)
     summary: list[dict]
-    rate: RateFit | None  # None when some quantile is nonpositive (no log-log fit)
+    rate: RateFit | None  # None below two grid points or at a nonpositive quantile
 
 
 def fit_rate(points: list[tuple[int, float]]) -> RateFit:
-    """Least squares on log-log transformed (n, statistic) points."""
+    """Least squares on log-log transformed (n, statistic) points; needs two or more."""
+    if len(points) < 2:
+        raise ValueError(f"rate fit needs at least two points, got {len(points)}")
     ns = np.array([p[0] for p in points], dtype=float)
     stats = np.array([p[1] for p in points], dtype=float)
     if np.any(stats <= 0):
@@ -76,10 +78,9 @@ def run_aggregate(
     summary = []
     points = []
     for n in config.n_grid:
-        idx, _ = replicate_draws(
-            config.seed, f"aggregate-{config.estimator}-n{n}", config.replicates, n, dist
-        )
-        weights = _fit_rows(_atom_counts(idx, dist.size), dist, loss, dictionary,
+        tag = f"aggregate-{config.estimator}-n{n}"
+        counts, _ = replicate_counts(config.seed, tag, config.replicates, n, dist)
+        weights = _fit_rows(counts, dist, loss, dictionary,
                             config.estimator, config.delta, config.c1)[2]
         vals = population_risk_of_values(dist, loss, weights @ dictionary.values) - gstar_risk
         rows.extend((n, rep, float(ex)) for rep, ex in enumerate(vals))
@@ -94,7 +95,7 @@ def run_aggregate(
             }
         )
         points.append((n, q))
-    rate = fit_rate(points) if all(q > 0 for _, q in points) else None
+    rate = fit_rate(points) if len(points) > 1 and all(q > 0 for _, q in points) else None
     return AggregateStudy(
         estimator=config.estimator,
         delta=config.delta,

@@ -16,6 +16,7 @@ All outputs embed the config hash and master seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -86,19 +87,11 @@ def _cmd_aggregate(config: ExperimentConfig, out: Path, formats: list[str]) -> i
     study = run_aggregate(config)
     prov = _provenance(config)
     rows = [(n, rep, ex) for n, rep, ex in study.rows]
-    rate_doc = None
-    if study.rate is not None:
-        rate_doc = {
-            "slope": study.rate.slope,
-            "intercept": study.rate.intercept,
-            "r_squared": study.rate.r_squared,
-            "points": list(study.rate.points),
-        }
     summary = {
         "estimator": study.estimator,
         "delta": study.delta,
         "per_n": study.summary,
-        "rate": rate_doc,
+        "rate": None if study.rate is None else dataclasses.asdict(study.rate),
     }
     series = {
         stat: ([s["n"] for s in study.summary], [s[stat] for s in study.summary])
@@ -112,7 +105,8 @@ def _cmd_aggregate(config: ExperimentConfig, out: Path, formats: list[str]) -> i
         svg_log_log=True,
     )
     if study.rate is None:
-        print(f"aggregate[{study.estimator}]: degenerate quantiles, no rate fit")
+        why = "one grid point" if len(config.n_grid) < 2 else "degenerate quantiles"
+        print(f"aggregate[{study.estimator}]: {why}, no rate fit")
     else:
         print(
             f"aggregate[{study.estimator}]: slope {study.rate.slope:+.3f} "

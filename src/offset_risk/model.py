@@ -6,8 +6,9 @@ expectations are exact finite sums and the deterministic inequalities checked
 elsewhere in this package are not polluted by estimation error on the
 population side.
 
-Atoms are addressed by integer id throughout; samples are arrays of atom ids,
-and function classes are evaluation tables over atoms. This keeps the exact
+Atoms are addressed by integer id throughout; a sample is an array of atom
+ids, keyed replicates arrive as their atom counts (``replicate_counts``), and
+function classes are evaluation tables over atoms. This keeps the exact
 population code and the empirical code on one shared evaluation table.
 """
 
@@ -27,7 +28,7 @@ __all__ = [
     "PredictorWeights",
     "squared_loss",
     "rng_stream",
-    "replicate_draws",
+    "replicate_counts",
     "draw_atom_ids",
     "draw_sample",
     "predict_all",
@@ -60,7 +61,7 @@ _CHUNK_WORDS = 2**15
 # 20-140 us (16 and 4,096 buckets), so a table pays for itself only over a
 # few thousand uniforms. Below this constant lie the exact sweeps' calls of
 # at most 50 uniforms, each on a law of its own; above it the chunks of
-# about 2**15 words of replicate_draws.
+# about 2**15 words of replicate_counts.
 _GUIDE_MIN_UNIFORMS = 2048
 # The guide table doubles its bucket count, up to this many, while some
 # bucket holds more than one cumulative probability.
@@ -92,8 +93,8 @@ def rng_stream(seed: int, tag: str, replicate: int = 0) -> np.random.Generator:
 
     Parallel replicate execution order can never change results because every
     replicate owns its own key; repeated calls with equal arguments return
-    generators producing identical streams. For many replicates of one tag,
-    :func:`replicate_draws` yields the same draws without a generator each.
+    generators producing identical streams. :func:`replicate_counts` counts
+    the same draws of many replicates of one tag without a generator each.
     """
     key = np.array([_stream_key(seed, tag), replicate & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -346,15 +347,14 @@ def _atom_ids(dist: DiscreteDistribution, u: np.ndarray) -> np.ndarray:
     return ids
 
 
-def _atom_counts(idx: np.ndarray, size: int, weights: np.ndarray | None = None) -> np.ndarray:
-    """(R, size) per-row counts of the atom ids in ``idx``, or per-atom sums of ``weights``.
+def _atom_counts(idx: np.ndarray, size: int) -> np.ndarray:
+    """(R, size) per-row counts of the (R, n) atom ids in ``idx``.
 
     One bincount over the ids offset by ``size`` per row; ids must lie in [0, size).
     """
     rows = idx.shape[0]
     flat = (idx + np.arange(0, rows * size, size)[:, None]).ravel()
-    w = None if weights is None else weights.ravel()
-    return np.bincount(flat, weights=w, minlength=rows * size).reshape(rows, size)
+    return np.bincount(flat, minlength=rows * size).reshape(rows, size)
 
 
 def draw_atom_ids(dist: DiscreteDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -419,7 +419,7 @@ def _replicate_words(key0: int, replicates: int, words: int):
         yield lo, block
 
 
-def replicate_draws(
+def replicate_counts(
     seed: int,
     tag: str,
     replicates: int,
@@ -427,17 +427,18 @@ def replicate_draws(
     dist: DiscreteDistribution | None = None,
     signs: bool = False,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Atom ids and/or Rademacher signs of replicates 0..R-1 of one keyed stream.
+    """Atom counts and/or signed atom counts of replicates 0..R-1 of one keyed stream.
 
-    Returns ``(idx, signs)``: ``idx`` is an (R, n) int64 array of draws from
-    ``dist`` (None without a distribution) and ``signs`` an (R, n) float64
-    array of +-1 (None unless ``signs`` is set). Row r is bit for bit what
-    ``rng = rng_stream(seed, tag, r)`` gives from ``draw_atom_ids(dist, n,
-    rng)`` followed by ``rng.integers(0, 2, size=n) * 2.0 - 1.0``. Replicate
-    r reads the Philox4x64-10 words of key (seed ^ fnv1a64(tag), r), counters
-    1, 2, ... with four words each: uniform j is ``(w[j] >> 11) * 2**-53``
-    and sign j is the top bit of the low (j even) or high (j odd) 32-bit half
-    of ``w[m + j // 2]``, with m = n when atom ids are drawn and 0 otherwise.
+    Returns ``(counts, signed)``: with ``dist``, the (R, s) int64 atom counts
+    of each replicate's n draws and (with ``signs``) the (R, s) per-atom sums
+    of their +-1 signs; without it the n positions are the atoms, so counts
+    is None and signed holds the (R, n) signs. Each chunk is counted as it is
+    drawn. Row r counts what ``rng = rng_stream(seed, tag, r)`` gives from
+    ``draw_atom_ids(dist, n, rng)``, then ``rng.integers(0, 2, size=n)``: the
+    Philox4x64-10 words of key (seed ^ fnv1a64(tag), r), counters 1, 2, ...
+    of four words each, where uniform j is ``(w[j] >> 11) * 2**-53`` and sign
+    j the top bit of the low (j even) or high (j odd) 32-bit half of
+    ``w[m + j // 2]``, with m = n when atoms are drawn and 0 otherwise.
     """
     if replicates < 1 or n < 1:
         raise ValueError("need at least one replicate and one draw per replicate")
@@ -445,17 +446,24 @@ def replicate_draws(
         raise ValueError("nothing to draw: give a distribution, signs=True, or both")
     first_sign = 0 if dist is None else n
     words = first_sign + (-(-n // 2) if signs else 0)
-    idx = None if dist is None else np.empty((replicates, n), dtype=np.int64)
-    sgn = np.empty((replicates, n), dtype=np.float64) if signs else None
+    size = n if dist is None else dist.size
+    counts = None if dist is None else np.empty((replicates, size), dtype=np.int64)
+    signed = np.empty((replicates, size)) if signs else None
     for lo, block in _replicate_words(_stream_key(seed, tag), replicates, words):
-        hi = lo + block.shape[0]
-        if idx is not None:
-            idx[lo:hi] = _atom_ids(dist, (block[:, :n] >> np.uint64(11)) * 2.0**-53)
-        if sgn is not None:
+        hi, cells = lo + block.shape[0], block.shape[0] * size
+        if dist is not None:
+            ids = _atom_ids(dist, (block[:, :n] >> np.uint64(11)) * 2.0**-53)
+            # One flat id array, offset by size per row, serves both bincounts.
+            flat = (ids + np.arange(0, cells, size)[:, None]).ravel()
+            counts[lo:hi] = np.bincount(flat, minlength=cells).reshape(-1, size)
+        if signs:
             # As little-endian 32-bit halves, each word's low half comes first.
             halves = block[:, first_sign:].astype("<u8", copy=False).view("<u4")
-            sgn[lo:hi] = (halves[:, :n] >> 31) * 2.0 - 1.0
-    return idx, sgn
+            sgn = (halves[:, :n] >> 31) * 2.0 - 1.0
+            if dist is not None:
+                sgn = np.bincount(flat, sgn.ravel(), cells).reshape(-1, size)
+            signed[lo:hi] = sgn
+    return counts, signed
 
 
 def draw_sample(dist: DiscreteDistribution, n: int, seed: int) -> Sample:

@@ -1,8 +1,12 @@
 """Complexity estimators against exhaustive-enumeration and dense oracles."""
 
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 from math import comb
 
 import numpy as np
@@ -29,7 +33,8 @@ from offset_risk.complexity import (
 )
 from offset_risk.concentration import MultiplierSetup, multiplier_sup, simulate_sup_draws
 from offset_risk.instances import random_star_class
-from offset_risk.model import DiscreteDistribution, replicate_draws
+from offset_risk.model import DiscreteDistribution
+from stream_reference import loop_draws
 
 
 def uniform_dist(s):
@@ -118,8 +123,8 @@ class TestCountsMatchTheGather:
     def test_offset_draws_match_the_gather(self, case, with_population):
         dist, spec, plan = case
         n, gamma = plan["n"], plan["gamma"]
-        idx, signs = replicate_draws(plan["seed"], "offset-complexity", plan["replicates"], n,
-                                     dist, signs=True)
+        idx, signs = loop_draws(plan["seed"], "offset-complexity", plan["replicates"], n,
+                                dist, signs=True)
         linear, quad = gather_moments(spec.base, idx, signs)
         quad = gamma * quad
         if with_population:
@@ -136,7 +141,7 @@ class TestCountsMatchTheGather:
         dist, spec, plan = case
         n, reps = plan["n"], plan["replicates"]
         setup = MultiplierSetup(joint=dist, class_spec=spec, gamma=plan["gamma"])
-        idx, _ = replicate_draws(plan["seed"], "multiplier-sample", reps, n, dist)
+        idx, _ = loop_draws(plan["seed"], "multiplier-sample", reps, n, dist, signs=False)
         cross, quad_emp = gather_moments(spec.base, idx, setup.zeta[idx])
         mean_cross = (spec.base * setup.zeta) @ dist.probs
         A = cross - n * mean_cross  # (R, k)
@@ -190,21 +195,21 @@ class TestCountsMatchTheGather:
                                     probs=[0.5, 0.0, 0.3, 0.0, 0.2], b=1.0)
         spec = FiniteClassSpec(base=np.random.default_rng(1).uniform(-1, 1, (3, 5)))
         n, reps, gamma = 9, 400, 0.6
-        idx, signs = replicate_draws(4, "offset-complexity", reps, n, dist, signs=True)
+        idx, signs = loop_draws(4, "offset-complexity", reps, n, dist, signs=True)
         linear, quad_emp = gather_moments(spec.base, idx, signs)
         pop_sq = (spec.base**2) @ dist.probs
         ref = star_hull_sup(linear, gamma * quad_emp + gamma * n * pop_sq)[2] / n
         got = offset_complexity_draws(dist, spec, gamma, n, reps, seed=4)
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14)
-        idx, signs = replicate_draws(4, "local-complexity", reps, n, dist, signs=True)
+        idx, signs = loop_draws(4, "local-complexity", reps, n, dist, signs=True)
         S, _ = local_sup_stats(dist, spec, n, reps, seed=4)
         np.testing.assert_allclose(S, gather_moments(spec.base, idx, signs)[0] / n,
                                    rtol=1e-12, atol=1e-14)
 
     def test_memory_scales_with_counts_not_the_gather(self):
         # Gathering h at every draw would hold R * n * k = 26.2M float64
-        # values (210 MB) here; the count path keeps the (R, n) draws and
-        # (R, s) counts.
+        # values (210 MB) here; the count path keeps the (R, s) counts and
+        # one chunk of draws.
         rng = np.random.default_rng(0)
         dist = uniform_dist(16)
         spec = FiniteClassSpec(base=rng.uniform(-1, 1, size=(64, 16)))
@@ -216,6 +221,31 @@ class TestCountsMatchTheGather:
             tracemalloc.stop()
         assert draws.shape == (200,)
         assert peak < 40e6
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
+    def test_peak_rss_stays_flat_in_the_replicate_count(self):
+        # Holding the (R, n) ids and signs once made the peak grow by 332 MB
+        # from R = 500 to R = 4000; counted chunk by chunk, it grows by a few MB.
+        script = (
+            "import resource, sys\n"
+            "from offset_risk.complexity import local_complexity_fixed_point, "
+            "offset_complexity_mc\n"
+            "from offset_risk.harness.cli import _instance_class\n"
+            "from offset_risk.harness.config import ExperimentConfig\n"
+            "dist, _, _, spec = _instance_class(ExperimentConfig(command='complexity'))\n"
+            "R = int(sys.argv[1])\n"
+            "offset_complexity_mc(dist, spec, 0.5, 4096, R, 0)\n"
+            "local_complexity_fixed_point(dist, spec, 0.5, 4096, R, 1e-6, 0)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        src = str(Path(complexity.__file__).resolve().parents[1])
+        peaks = []
+        for replicates in (500, 4000):
+            res = subprocess.run([sys.executable, "-c", script, str(replicates)],
+                                 capture_output=True, text=True, check=True,
+                                 env={**os.environ, "PYTHONPATH": src})
+            peaks.append(int(res.stdout) / 1024)  # MiB
+        assert peaks[1] - peaks[0] < 16
 
 
 class TestStarHullSup:
@@ -649,6 +679,35 @@ def _zero_features():
 def _chunk_crossing_features():
     # 4845 four-subsets at n = 64: more than one batched SVD for size 4.
     return np.random.default_rng(32).normal(size=(64, 20)), 4
+
+
+def _sparse_spec():
+    return SparseClassSpec(features=np.random.default_rng(2).normal(size=(6, 3)), k=2,
+                           gamma=1.0)
+
+
+_STATS = (np.array([[0.5, -0.25], [0.1, 0.3]]), np.array([0.5, 0.2]))
+
+
+@pytest.mark.parametrize("call, message", [
+    # numpy's "zero-size array to reduction operation minimum"
+    (lambda: empirical_offset_complexity([], FiniteClassSpec(base=np.ones((1, 3))), 0.5, 10,
+                                         seed=0), "needs at least one atom id"),
+    (lambda: empirical_offset_complexity(np.array([], dtype=int),
+                                         FiniteClassSpec(base=np.ones((1, 3))), 0.5, 0,
+                                         seed=0, exact=True), "needs at least one atom id"),
+    # a matmul gufunc error
+    (lambda: sparse_offset_values(_sparse_spec(), np.ones((2, 5))), "one entry per feature row"),
+    (lambda: sparse_offset_values(_sparse_spec(), np.ones(7)), "one entry per feature row"),
+    (lambda: sparse_offset_exact(_sparse_spec(), np.ones(5)), "one entry per feature row"),
+    # a silent NaN curve
+    (lambda: phi_from_stats(*_STATS, 0.5, float("nan")), "r must be a number"),
+    (lambda: phi_from_stats(*_STATS, 0.5, np.float64("nan")), "r must be a number"),
+], ids=["empty-sample", "empty-sample-exact", "sigma-rows-narrow", "sigma-wide",
+        "exact-sigma-narrow", "nan-radius", "nan-radius-numpy"])
+def test_readable_input_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestSubsetBases:

@@ -13,7 +13,8 @@ from offset_risk.concentration import (
     tail_verify,
 )
 from offset_risk.instances import random_multiplier_setup
-from offset_risk.model import DiscreteDistribution, replicate_draws
+from offset_risk.model import DiscreteDistribution
+from stream_reference import loop_draws
 
 
 def make_setup(zeta, probs, base, gamma):
@@ -176,7 +177,7 @@ class TestSimulation:
             setup = random_multiplier_setup(rng)
             n, reps = int(rng.integers(1, 12)), 30
             sups, quad_at_max = simulate_sup_draws(setup, n=n, replicates=reps, seed=seed)
-            idx, _ = replicate_draws(seed, "multiplier-sample", reps, n, setup.joint)
+            idx, _ = loop_draws(seed, "multiplier-sample", reps, n, setup.joint, signs=False)
             for r in range(reps):
                 res = multiplier_sup(setup, idx[r])
                 # One row goes through a different BLAS path than many rows.

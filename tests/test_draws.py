@@ -1,6 +1,7 @@
-"""Keyed draw layer: block draws against the one-stream-per-replicate loop,
+"""Keyed draw layer: block counts against the one-stream-per-replicate loop,
 and the inverse CDF against a plain binary search."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from offset_risk import model
-from offset_risk.model import DiscreteDistribution, draw_atom_ids, replicate_draws, rng_stream
+from offset_risk.model import DiscreteDistribution, draw_atom_ids, replicate_counts
+from stream_reference import loop_draws
 
 DISTS = (
     DiscreteDistribution(xs=[[0.0]], ys=[0.0], probs=[1.0], b=1.0),
@@ -25,17 +27,21 @@ DISTS = (
 )
 
 
-def loop_draws(seed, tag, replicates, n, dist, signs):
-    """The reference: one keyed stream per replicate, atom ids before signs."""
-    idx = np.empty((replicates, n), dtype=np.int64)
-    sgn = np.empty((replicates, n))
-    for r in range(replicates):
-        rng = rng_stream(seed, tag, r)
-        if dist is not None:
-            idx[r] = draw_atom_ids(dist, n, rng)
-        if signs:
-            sgn[r] = rng.integers(0, 2, size=n) * 2.0 - 1.0
-    return (idx if dist is not None else None), (sgn if signs else None)
+def loop_counts(seed, tag, replicates, n, dist, signs):
+    """The reference: the stream loop's ids and signs, counted one replicate at a time.
+
+    Without a distribution the draw positions are the atoms, so the signs
+    stand as they are.
+    """
+    idx, sgn = loop_draws(seed, tag, replicates, n, dist, signs)
+    if dist is None:
+        return None, sgn
+    counts = np.array([np.bincount(row, minlength=dist.size) for row in idx])
+    if sgn is None:
+        return counts, None
+    signed = np.array([np.bincount(row, weights=g, minlength=dist.size)
+                       for row, g in zip(idx, sgn)])
+    return counts, signed
 
 
 def assert_same_draws(got, want):
@@ -67,11 +73,11 @@ class TestReplicateDraws:
     def test_both_word_paths_match_the_stream_loop(self, case, chunk_words):
         # Small chunks make the replicate counts cross chunk boundaries.
         seed, tag, replicates, n, dist, signs = case
-        want = loop_draws(seed, tag, replicates, n, dist, signs)
+        want = loop_counts(seed, tag, replicates, n, dist, signs)
         for kernel_max_words in (0, 10**9):  # re-keyed native Philox, numpy kernel
             with mock.patch.multiple(model, _CHUNK_WORDS=chunk_words,
                                      _KERNEL_MAX_WORDS=kernel_max_words):
-                got = replicate_draws(seed, tag, replicates, n, dist, signs=signs)
+                got = replicate_counts(seed, tag, replicates, n, dist, signs=signs)
             assert_same_draws(got, want)
 
     @pytest.mark.parametrize("words", [model._KERNEL_MAX_WORDS, model._KERNEL_MAX_WORDS + 1])
@@ -80,27 +86,41 @@ class TestReplicateDraws:
         dist = None if mode == "signs" else DISTS[1]
         signs = mode != "ids"
         n = next(n for n in range(1, 4 * words) if words_per_replicate(n, dist, signs) >= words)
-        want = loop_draws(2**63 + 5, "crossover-é", 9, n, dist, signs)
-        assert_same_draws(replicate_draws(2**63 + 5, "crossover-é", 9, n, dist, signs), want)
+        want = loop_counts(2**63 + 5, "crossover-é", 9, n, dist, signs)
+        assert_same_draws(replicate_counts(2**63 + 5, "crossover-é", 9, n, dist, signs), want)
 
     def test_replicates_past_one_full_chunk(self):
         n = 5  # 8 words per replicate, so a chunk holds _CHUNK_WORDS // 8 replicates
         replicates = model._CHUNK_WORDS // 8 + 3
-        want = loop_draws(17, "chunks", replicates, n, DISTS[2], True)
-        assert_same_draws(replicate_draws(17, "chunks", replicates, n, DISTS[2], True), want)
+        want = loop_counts(17, "chunks", replicates, n, DISTS[2], True)
+        assert_same_draws(replicate_counts(17, "chunks", replicates, n, DISTS[2], True), want)
 
     def test_zero_probability_atoms_are_never_drawn(self):
-        idx, _ = replicate_draws(3, "zero-atoms", 2000, 9, DISTS[1])
-        assert set(np.unique(idx)) <= {0, 2, 3}
+        counts, _ = replicate_counts(3, "zero-atoms", 2000, 9, DISTS[1])
+        assert not counts[:, [1, 4]].any()
+        assert (counts.sum(axis=1) == 9).all()
 
     @pytest.mark.parametrize("replicates, n", [(0, 4), (4, 0), (-1, 4), (4, -2)])
     def test_empty_shapes_are_rejected(self, replicates, n):
         with pytest.raises(ValueError, match="at least one"):
-            replicate_draws(0, "t", replicates, n, DISTS[0], signs=True)
+            replicate_counts(0, "t", replicates, n, DISTS[0], signs=True)
 
     def test_nothing_to_draw_is_rejected(self):
         with pytest.raises(ValueError, match="nothing to draw"):
-            replicate_draws(0, "t", 3, 3)
+            replicate_counts(0, "t", 3, 3)
+
+    def test_memory_is_one_chunk_not_the_draws(self):
+        # The (R, n) ids and signs of this call would take 131 MB; counted
+        # chunk by chunk, the call holds the (R, s) counts and one chunk.
+        dist = DISTS[2]
+        tracemalloc.start()
+        try:
+            counts, signed = replicate_counts(0, "memory", 2000, 4096, dist, signs=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts.shape == signed.shape == (2000, dist.size)
+        assert peak < 8e6
 
 
 class _LastUniformRng:
@@ -153,7 +173,7 @@ def test_atom_ids_match_the_binary_search(dist, seed):
     u[::2][: edges.size] = edges
     u[1::2][: edges.size] = edges[::-1]
     want = search_ids(dist, u)
-    for shape in ((size,), (2, size // 2)):  # the (rows, n) blocks of replicate_draws
+    for shape in ((size,), (2, size // 2)):  # the (rows, n) chunks of replicate_counts
         got = model._atom_ids(dist, u.reshape(shape))
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got.ravel(), want)
@@ -168,12 +188,12 @@ def test_guide_table_is_built_once_per_distribution_and_only_for_large_draws():
     fresh = DiscreteDistribution(xs=dist.xs, ys=dist.ys, probs=dist.probs, b=dist.b)
     rng = np.random.default_rng(5)
     draw_atom_ids(fresh, model._GUIDE_MIN_UNIFORMS - 1, rng)
-    replicate_draws(5, "small", 3, 40, fresh)
+    replicate_counts(5, "small", 3, 40, fresh)
     assert fresh._guide is None
     draw_atom_ids(fresh, model._GUIDE_MIN_UNIFORMS, rng)
     table = fresh._guide
     guide, thr, _ = table
     assert not guide.flags.writeable and not thr.flags.writeable
-    replicate_draws(5, "large", 100, 50, fresh)
+    replicate_counts(5, "large", 100, 50, fresh)
     draw_atom_ids(fresh, 3 * model._GUIDE_MIN_UNIFORMS, rng)
     assert fresh._guide is table

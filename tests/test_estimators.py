@@ -25,7 +25,7 @@ from offset_risk.model import (
     _atom_counts,
     draw_sample,
     predict_all,
-    replicate_draws,
+    replicate_counts,
     squared_loss,
 )
 from offset_risk.risk import (
@@ -34,6 +34,7 @@ from offset_risk.risk import (
     empirical_risk_of_values,
     population_minimizer,
 )
+from stream_reference import loop_draws
 
 LOSS = squared_loss(1.0)
 
@@ -396,14 +397,14 @@ def _fit_cases():
     for trial in range(30):
         dist, dictionary = random_instance(rng)
         n = int(rng.integers(1, 40))
-        idx, _ = replicate_draws(trial, "fit-rows", 6, n, dist)
+        idx, _ = loop_draws(trial, "fit-rows", 6, n, dist, signs=False)
         cases.append((dist, dictionary, idx))
     # Single-atom samples: n = 1, and n draws of one atom.
     dist, dictionary = random_instance(np.random.default_rng(22))
     cases.append((dist, dictionary, np.arange(dist.size)[:, None]))
     cases.append((dist, dictionary, np.repeat(np.arange(dist.size)[:, None], 7, axis=1)))
     dist, dictionary = rate_study_instance()
-    cases.append((dist, dictionary, replicate_draws(5, "fit-rows", 40, 64, dist)[0]))
+    cases.append((dist, dictionary, loop_draws(5, "fit-rows", 40, 64, dist, signs=False)[0]))
     return cases
 
 
@@ -470,9 +471,7 @@ class TestFitRows:
     @pytest.mark.parametrize("estimator", ["star", "midpoint"])
     def test_memory_bounded_over_many_rows(self, estimator):
         dist, dictionary = rate_study_instance()
-        idx, _ = replicate_draws(0, "fit-memory", 20_000, 64, dist)
-        counts = _atom_counts(idx, dist.size)
-        del idx
+        counts, _ = replicate_counts(0, "fit-memory", 20_000, 64, dist)
         tracemalloc.start()
         try:
             _fit_rows(counts, dist, LOSS, dictionary, estimator)
@@ -488,8 +487,8 @@ class TestFitRows:
                                n_grid=(16, 256), replicates=60, seed=3)
         rows = run_aggregate(cfg, dist, dictionary).rows
         for n in cfg.n_grid:
-            idx, _ = replicate_draws(cfg.seed, f"aggregate-{estimator}-n{n}",
-                                     cfg.replicates, n, dist)
+            idx, _ = loop_draws(cfg.seed, f"aggregate-{estimator}-n{n}",
+                                cfg.replicates, n, dist, signs=False)
             got = [ex for n_row, _, ex in rows if n_row == n]
             want = [loop_excess(estimator, Sample(indices=row), dist, dictionary,
                                 cfg.delta, cfg.c1) for row in idx]

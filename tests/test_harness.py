@@ -219,6 +219,12 @@ class TestRateFit:
         with pytest.raises(ValueError, match="positive"):
             fit_rate([(64, 0.0), (128, 1.0)])
 
+    @pytest.mark.parametrize("points", [[], [(64, 0.1)]])
+    def test_rejects_fewer_than_two_points(self, points):
+        # One point once gave slope -0.277 with r^2 = 1 and a RankWarning.
+        with pytest.raises(ValueError, match="at least two points"):
+            fit_rate(points)
+
 
 class TestRunAggregate:
     def test_single_row_dictionary_gives_zero_excess(self):
@@ -385,6 +391,17 @@ class TestCli:
         assert (out / "aggregate_star.svg").exists()
         doc = json.loads((out / "aggregate_star.json").read_text())
         assert doc["provenance"]["seed"] == 2
+        assert set(doc["summary"]["rate"]) == {"slope", "intercept", "r_squared", "points"}
+
+    def test_one_grid_point_fits_no_rate(self, tmp_path, capsys):
+        cfg = tmp_path / "agg.json"
+        cfg.write_text(json.dumps({"command": "aggregate", "n_grid": [64], "replicates": 50}))
+        out = tmp_path / "out"
+        assert cli.main(["aggregate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "one grid point, no rate fit" in capsys.readouterr().out
+        summary = json.loads((out / "aggregate_star.json").read_text())["summary"]
+        assert summary["rate"] is None
+        assert [entry["n"] for entry in summary["per_n"]] == [64]
 
     def test_instance_file_flows_through(self, tmp_path):
         instance = {
