@@ -418,7 +418,9 @@ def sparse_offset_exact(spec: SparseClassSpec, sigma: np.ndarray) -> float:
     for the complexity normalization. Computed as the one-row case of
     :func:`sparse_offset_values`.
     """
-    sigma = np.asarray(sigma, dtype=np.float64).ravel()
+    sigma = np.asarray(sigma, dtype=np.float64)
+    if sigma.ndim != 1:
+        raise ValueError(f"sigma must be one sign vector (1-D), got shape {sigma.shape}")
     return float(sparse_offset_values(spec, sigma[None, :])[0])
 
 

@@ -186,25 +186,28 @@ def _bootstrap_log_mgf(
 
     Each resample recenters at its own mean. Since
     log mean_b exp(lam (U - U_bar_b)) = log mean_b exp(lam U) - lam U_bar_b,
-    the exponentials are computed once and every resample reduces to counted
-    averages of the same columns.
+    every resample statistic is a counted average of one table
+    ``[U, exp(lam (U - max U))]``. The draws take only u distinct values, and
+    a resample's counts over them are Multinomial(r, c_j / r) for their
+    multiplicities c_j, so each resample is one count row over the u values.
+    Cost: O(resamples * u) binomial draws and multiply-adds, with memory
+    O(chunk * u) for chunk = 2**24 // r resamples at once, where
+    u <= min(r, C(n + s - 1, n)) for samples of size n over s atoms.
     """
     r = sups.shape[0]
     shift = sups.max()  # fixed exponent shift for overflow safety
-    exp_cols = np.exp(np.outer(sups - shift, lambdas))  # (r, L)
+    values, weights = np.unique(sups, return_counts=True)
+    table = np.column_stack([values, np.exp(np.outer(values - shift, lambdas))])  # (u, 1 + L)
     rng = rng_stream(seed, "mgf-bootstrap")
     stats = np.empty((resamples, lambdas.size))
     chunk = max(1, int(2**24 // max(1, r)))
-    block = np.empty((min(chunk, resamples), r))  # resample counts, one row each
     done = 0
     while done < resamples:
         batch = min(chunk, resamples - done)
-        counts = block[:batch]
-        for row in counts:
-            row[:] = np.bincount(rng.integers(0, r, size=r), minlength=r)
-        means = counts @ sups / r
-        log_mgf_raw = np.log(counts @ exp_cols / r)  # log mean exp(lam(U - shift))
-        stats[done : done + batch] = log_mgf_raw + lambdas[None, :] * (shift - means[:, None])
+        sums = rng.multinomial(r, weights / r, size=batch) @ table / r  # (batch, 1 + L)
+        means = sums[:, :1]
+        log_mgf_raw = np.log(sums[:, 1:])  # log mean exp(lam(U - shift))
+        stats[done : done + batch] = log_mgf_raw + lambdas[None, :] * (shift - means)
         done += batch
     lower = np.percentile(stats, 2.5, axis=0)
     upper = np.percentile(stats, 97.5, axis=0)

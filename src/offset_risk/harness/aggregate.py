@@ -40,10 +40,12 @@ class AggregateStudy:
 
 
 def fit_rate(points: list[tuple[int, float]]) -> RateFit:
-    """Least squares on log-log transformed (n, statistic) points; needs two or more."""
+    """Least squares on log-log transformed (n, statistic) points; needs two or more n."""
     if len(points) < 2:
         raise ValueError(f"rate fit needs at least two points, got {len(points)}")
     ns = np.array([p[0] for p in points], dtype=float)
+    if np.unique(ns).size < 2:
+        raise ValueError(f"rate fit needs at least two distinct n, got only n = {int(ns[0])}")
     stats = np.array([p[1] for p in points], dtype=float)
     if np.any(stats <= 0):
         bad = [int(n) for n, s in points if s <= 0]

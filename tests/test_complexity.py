@@ -700,11 +700,13 @@ _STATS = (np.array([[0.5, -0.25], [0.1, 0.3]]), np.array([0.5, 0.2]))
     (lambda: sparse_offset_values(_sparse_spec(), np.ones((2, 5))), "one entry per feature row"),
     (lambda: sparse_offset_values(_sparse_spec(), np.ones(7)), "one entry per feature row"),
     (lambda: sparse_offset_exact(_sparse_spec(), np.ones(5)), "one entry per feature row"),
+    # six entries, so a ravel would pass it as one sign vector
+    (lambda: sparse_offset_exact(_sparse_spec(), np.ones((2, 3))), "one sign vector"),
     # a silent NaN curve
     (lambda: phi_from_stats(*_STATS, 0.5, float("nan")), "r must be a number"),
     (lambda: phi_from_stats(*_STATS, 0.5, np.float64("nan")), "r must be a number"),
 ], ids=["empty-sample", "empty-sample-exact", "sigma-rows-narrow", "sigma-wide",
-        "exact-sigma-narrow", "nan-radius", "nan-radius-numpy"])
+        "exact-sigma-narrow", "exact-sigma-2d", "nan-radius", "nan-radius-numpy"])
 def test_readable_input_errors(call, message):
     with pytest.raises(ValueError, match=message):
         call()

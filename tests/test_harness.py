@@ -225,6 +225,11 @@ class TestRateFit:
         with pytest.raises(ValueError, match="at least two points"):
             fit_rate(points)
 
+    def test_rejects_a_single_distinct_n(self):
+        # Two points at one n once gave slope -0.235 and a RankWarning.
+        with pytest.raises(ValueError, match="at least two distinct n"):
+            fit_rate([(64, 0.1), (64, 0.2)])
+
 
 class TestRunAggregate:
     def test_single_row_dictionary_gives_zero_excess(self):
