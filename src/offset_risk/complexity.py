@@ -300,12 +300,15 @@ def local_sup_stats(
 
     Returns (S, pop_sq) where S[r, h] = (1/n) sum_i s_i h(X_i) for replicate
     r and pop_sq[h] = E h^2. Every radius evaluation reuses these statistics,
-    which is what makes the estimated fixed-point curve monotone in r.
+    which is what makes the estimated fixed-point curve monotone in r. S is
+    column-major: each radius takes a max over the k classes of every row,
+    which numpy computes an order of magnitude faster over k contiguous
+    columns than along the short rows of a C-ordered (R, k) table.
     """
     if class_spec.base.shape[1] != dist.size:
         raise ValueError("class value tables must match the support size")
     _, signed = replicate_counts(seed, "local-complexity", replicates, n, dist, signs=True)
-    return signed @ class_spec.base.T / n, class_spec._base_sq @ dist.probs
+    return np.asfortranarray(signed @ class_spec.base.T / n), class_spec._base_sq @ dist.probs
 
 
 def phi_from_stats(
@@ -315,10 +318,15 @@ def phi_from_stats(
 
     The feasible scalings are {lam h : lam in [0,1], E (lam h)^2 <= r/gamma},
     so per base function lam_max = min(1, sqrt(r / (gamma E h^2))) and the
-    per-draw supremum is max(0, max_h lam_max(h) * S[., h]).
+    per-draw supremum is max(0, max_h lam_max(h) * S[., h]). ``S`` is the
+    (R, k) table of :func:`local_sup_stats`, one column per entry of ``pop_sq``.
     """
     if not 0 < gamma < np.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
+    if S.ndim != 2 or S.shape[1] != pop_sq.size:
+        raise ValueError(
+            f"S must be (R, {pop_sq.size}), one column per class, got shape {S.shape}"
+        )
     if isnan(r):
         raise ValueError("radius r must be a number, got nan")
     if r <= 0:

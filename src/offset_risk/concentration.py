@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complexity import FiniteClassSpec, _std_error, star_hull_sup
-from .model import DiscreteDistribution, _atom_counts, _id_array, replicate_counts, rng_stream
+from .model import DiscreteDistribution, _atom_counts, _count_chunks, _id_array, rng_stream
 
 __all__ = [
     "MultiplierSetup",
@@ -64,7 +64,9 @@ class MultiplierSetup:
     The multiplier is a function of the atom, so every sum over a sample is
     its atom counts times one read-only table ``[zeta * h; h^2]`` of shape
     (2k, s), built here once along with the table's population mean
-    ``[E zeta h; E h^2]``.
+    ``[E zeta h; E h^2]``. The setup also keeps the result of its last
+    :func:`simulate_sup_draws` call, so checks that read the same draws
+    (``mgf_verify`` then ``tail_verify``) simulate them once.
     """
 
     joint: DiscreteDistribution
@@ -75,6 +77,7 @@ class MultiplierSetup:
     eta: float = field(init=False)
     _table: np.ndarray = field(init=False, repr=False, compare=False)
     _table_mean: np.ndarray = field(init=False, repr=False, compare=False)
+    _last_sim: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if not 0 < self.gamma < np.inf:
@@ -172,11 +175,31 @@ def simulate_sup_draws(
     """Replicated draws of (U, B at the maximizer), vectorized over replicates.
 
     Each replicate owns a keyed stream, so results are independent of
-    batching and execution order; the kernel reads their atom counts only.
+    batching and execution order; the kernel reads their atom counts only,
+    one chunk of replicates at a time as it is drawn, so the two (R,) result
+    arrays are all that grows with R. For R > 1 and n <= 10,922 draws,
+    where a full chunk holds three or more replicates, every chunk has at
+    least two rows (see ``model._replicate_words``), so BLAS multiplies it
+    with the matrix-matrix kernel it uses for all R rows at once, and the
+    values are bit for bit those of one kernel call on ``replicate_counts``.
+    A BLAS that also picks kernels by size can part them in the last bit:
+    OpenBLAS on AVX-512 takes a small-matrix kernel for products of at most
+    1,200 entries over 32 or more atoms, which chunks reach only past
+    n = 27 draws. The result is read-only and kept on ``setup``: a call
+    with the same (n, replicates, seed) as the setup's last one returns the
+    same arrays without drawing.
     """
-    counts, _ = replicate_counts(seed, "multiplier-sample", replicates, n, setup.joint)
-    best, lam, sup, _, quad = _sup_kernel(setup, counts, n)
-    return sup, lam**2 * quad[np.arange(replicates), best]
+    key = (n, replicates, seed)
+    if setup._last_sim is not None and setup._last_sim[0] == key:
+        return setup._last_sim[1]
+    sups, quad_at_max = np.empty(replicates), np.empty(replicates)
+    for lo, counts, _ in _count_chunks(seed, "multiplier-sample", replicates, n, setup.joint):
+        hi = lo + counts.shape[0]
+        best, lam, sups[lo:hi], _, quad = _sup_kernel(setup, counts, n)
+        quad_at_max[lo:hi] = lam**2 * quad[np.arange(hi - lo), best]
+    sups.flags.writeable = quad_at_max.flags.writeable = False
+    object.__setattr__(setup, "_last_sim", (key, (sups, quad_at_max)))
+    return sups, quad_at_max
 
 
 def _bootstrap_log_mgf(
@@ -272,6 +295,8 @@ def tail_verify(
     delta plus three binomial standard errors at that delta.
     """
     deltas = np.asarray(delta_grid, dtype=np.float64).ravel()
+    if deltas.size == 0:
+        raise ValueError("delta_grid must hold at least one delta")
     if not np.all((deltas > 0) & (deltas <= 1)):
         raise ValueError("every delta must lie in (0, 1]")
     sups, _ = simulate_sup_draws(setup, n, replicates, seed)

@@ -15,6 +15,7 @@ empirical risk.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -355,7 +356,7 @@ def mirror_descent(
     curve = loss.strong_convexity
 
     def risk(w: np.ndarray) -> float:
-        return float(np.mean(loss.eval(X @ w, y)))
+        return float(loss.eval(X @ w, y).sum() / n)
 
     def grad_risk(w: np.ndarray) -> np.ndarray:
         return X.T @ loss.grad(X @ w, y) / n
@@ -363,10 +364,10 @@ def mirror_descent(
     risk_ref = risk(w_star)
 
     def gap(w: np.ndarray) -> float:
-        return risk(w) - risk_ref + 0.5 * curve * float(np.mean((X @ (w - w_star)) ** 2))
+        return risk(w) - risk_ref + 0.5 * curve * float(((X @ (w - w_star)) ** 2).sum() / n)
 
     d0 = bregman(w_star, w0)
-    scale_guard = 1e6 * float(np.linalg.norm(w0)) + 1e6
+    scale_guard = 1e6 * float(np.sqrt(w0.dot(w0))) + 1e6
     w = w0.copy()
     theta = to_dual(w)
     t = 0.0
@@ -388,12 +389,11 @@ def mirror_descent(
             except FloatingPointError:
                 w_new = np.full_like(w, np.inf)
         t += step
-        step_excess = step * float(g @ (w - w_new)) - (
-            bregman(w_new, w) if np.all(np.isfinite(w_new)) else np.inf
-        )
-        excess += max(0.0, step_excess) if np.isfinite(step_excess) else np.inf
+        finite = bool(np.isfinite(w_new).all())
+        step_excess = step * float(g @ (w - w_new)) - (bregman(w_new, w) if finite else math.inf)
+        excess += max(0.0, step_excess) if math.isfinite(step_excess) else math.inf
         w = w_new
-        if not np.all(np.isfinite(w)) or np.linalg.norm(w) > scale_guard:
+        if not finite or np.sqrt(w.dot(w)) > scale_guard:
             diverged = True
             break
         w_path.append((t, w.copy()))
@@ -406,7 +406,7 @@ def mirror_descent(
     if t_star is not None:
         w_stop = w_path[-1][1] if t_star > 0 else w0
         risk_gap = risk(w_stop) - risk_ref
-        quadratic = float(np.mean((X @ (w_stop - w_star)) ** 2))
+        quadratic = float(((X @ (w_stop - w_star)) ** 2).sum() / n)
         offset = offset_report_from_values(risk_gap, quadratic, 0.5 * curve, epsilon)
     trace = MirrorDescentTrace(
         mirror_map=mirror_map,

@@ -399,24 +399,70 @@ def _replicate_words(key0: int, replicates: int, words: int):
 
     Yields (first, block) pairs; row i of the uint64 block holds the words of
     the stream keyed (key0, first + i). Few words per replicate go through
-    the numpy kernel, many through one re-keyed native Philox.
+    the numpy kernel, many through one re-keyed native Philox. The chunks
+    split R evenly, so their row counts differ by at most one: a short last
+    chunk, down to one row, never occurs unless every chunk is that short.
     """
-    rows = max(1, _CHUNK_WORDS // words)
+    chunks = -(-replicates // max(1, _CHUNK_WORDS // words))
+    spans = ((i * replicates // chunks, (i + 1) * replicates // chunks) for i in range(chunks))
     if words <= _KERNEL_MAX_WORDS:
         blocks = -(-words // 4)
-        for lo in range(0, replicates, rows):
-            ids = np.arange(lo, min(replicates, lo + rows), dtype=np.uint64)
+        for lo, hi in spans:
+            ids = np.arange(lo, hi, dtype=np.uint64)
             yield lo, _philox4x64(key0, ids, blocks)[:, :words]
         return
     bitgen = np.random.Philox(key=np.array([key0, 0], dtype=np.uint64))
     state = bitgen.state  # counter 0 and an empty buffer: a fresh stream
-    for lo in range(0, replicates, rows):
-        block = np.empty((min(rows, replicates - lo), words), dtype=np.uint64)
+    for lo, hi in spans:
+        block = np.empty((hi - lo, words), dtype=np.uint64)
         for i in range(block.shape[0]):
             state["state"]["key"][1] = lo + i
             bitgen.state = state
             block[i] = bitgen.random_raw(words)
         yield lo, block
+
+
+def _count_chunks(
+    seed: int,
+    tag: str,
+    replicates: int,
+    n: int,
+    dist: DiscreteDistribution | None = None,
+    signs: bool = False,
+):
+    """Checked arguments of :func:`replicate_counts`, then its rows chunk by chunk.
+
+    Returns an iterator of ``(first, counts, signed)``: rows first, first + 1,
+    ... of what ``replicate_counts`` returns with the same arguments (None
+    where it returns None). A caller that reduces each chunk as it arrives
+    holds no (R, s) array; the chunks follow ``_replicate_words``.
+    """
+    if replicates < 1 or n < 1:
+        raise ValueError("need at least one replicate and one draw per replicate")
+    if dist is None and not signs:
+        raise ValueError("nothing to draw: give a distribution, signs=True, or both")
+    first_sign = 0 if dist is None else n
+    words = first_sign + (-(-n // 2) if signs else 0)
+    size = n if dist is None else dist.size
+
+    def chunks():
+        for lo, block in _replicate_words(_stream_key(seed, tag), replicates, words):
+            cells = block.shape[0] * size
+            counts = sgn = None
+            if dist is not None:
+                ids = _atom_ids(dist, (block[:, :n] >> np.uint64(11)) * 2.0**-53)
+                # One flat id array, offset by size per row, serves both bincounts.
+                flat = (ids + np.arange(0, cells, size)[:, None]).ravel()
+                counts = np.bincount(flat, minlength=cells).reshape(-1, size)
+            if signs:
+                # As little-endian 32-bit halves, each word's low half comes first.
+                halves = block[:, first_sign:].astype("<u8", copy=False).view("<u4")
+                sgn = (halves[:, :n] >> 31) * 2.0 - 1.0
+                if dist is not None:
+                    sgn = np.bincount(flat, sgn.ravel(), cells).reshape(-1, size)
+            yield lo, counts, sgn
+
+    return chunks()
 
 
 def replicate_counts(
@@ -440,29 +486,14 @@ def replicate_counts(
     j the top bit of the low (j even) or high (j odd) 32-bit half of
     ``w[m + j // 2]``, with m = n when atoms are drawn and 0 otherwise.
     """
-    if replicates < 1 or n < 1:
-        raise ValueError("need at least one replicate and one draw per replicate")
-    if dist is None and not signs:
-        raise ValueError("nothing to draw: give a distribution, signs=True, or both")
-    first_sign = 0 if dist is None else n
-    words = first_sign + (-(-n // 2) if signs else 0)
+    chunks = _count_chunks(seed, tag, replicates, n, dist, signs)
     size = n if dist is None else dist.size
     counts = None if dist is None else np.empty((replicates, size), dtype=np.int64)
     signed = np.empty((replicates, size)) if signs else None
-    for lo, block in _replicate_words(_stream_key(seed, tag), replicates, words):
-        hi, cells = lo + block.shape[0], block.shape[0] * size
-        if dist is not None:
-            ids = _atom_ids(dist, (block[:, :n] >> np.uint64(11)) * 2.0**-53)
-            # One flat id array, offset by size per row, serves both bincounts.
-            flat = (ids + np.arange(0, cells, size)[:, None]).ravel()
-            counts[lo:hi] = np.bincount(flat, minlength=cells).reshape(-1, size)
-        if signs:
-            # As little-endian 32-bit halves, each word's low half comes first.
-            halves = block[:, first_sign:].astype("<u8", copy=False).view("<u4")
-            sgn = (halves[:, :n] >> 31) * 2.0 - 1.0
-            if dist is not None:
-                sgn = np.bincount(flat, sgn.ravel(), cells).reshape(-1, size)
-            signed[lo:hi] = sgn
+    for lo, *rows in chunks:
+        for out, chunk in zip((counts, signed), rows):
+            if out is not None:
+                out[lo : lo + chunk.shape[0]] = chunk
     return counts, signed
 
 

@@ -33,7 +33,7 @@ from offset_risk.complexity import (
 )
 from offset_risk.concentration import MultiplierSetup, multiplier_sup, simulate_sup_draws
 from offset_risk.instances import random_star_class
-from offset_risk.model import DiscreteDistribution
+from offset_risk.model import DiscreteDistribution, replicate_counts
 from stream_reference import loop_draws
 
 
@@ -458,6 +458,29 @@ class TestLocalFixedPoint:
         S, pop_sq = np.array([[0.5, -0.25], [0.1, 0.3]]), np.array([0.5, 0.2])
         with pytest.raises(ValueError, match="gamma must be positive and finite"):
             phi_from_stats(S, pop_sq, gamma, 0.1)
+
+    @pytest.mark.parametrize("S", [np.ones((5, 1)), np.ones((5, 3)), np.ones(2),
+                                   np.ones((2, 2, 1))],
+                             ids=["too-few-columns", "too-many-columns", "1-d", "3-d"])
+    def test_phi_from_stats_rejects_a_misshapen_table(self, S):
+        # (5, 1) against two classes used to broadcast to a curve value of 0.632.
+        with pytest.raises(ValueError, match="one column per class"):
+            phi_from_stats(S, np.array([0.5, 0.25]), 1.0, 0.1)
+
+    def test_stats_are_column_major_and_unchanged(self):
+        rng = np.random.default_rng(12)
+        for trial in range(5):
+            dist, spec = random_star_class(rng)
+            n, reps = int(rng.integers(2, 30)), 3000
+            S, pop_sq = local_sup_stats(dist, spec, n, reps, seed=trial)
+            _, signed = replicate_counts(trial, "local-complexity", reps, n, dist, signs=True)
+            assert S.flags.f_contiguous
+            assert S.tobytes(order="F") == (signed @ spec.base.T / n).tobytes(order="F")
+            c_order = np.ascontiguousarray(S)
+            for r in (0.0, 1e-4, 0.01, 0.3, 5.0):
+                value, per_draw = phi_from_stats(S, pop_sq, 0.7, r)
+                c_value, c_per_draw = phi_from_stats(c_order, pop_sq, 0.7, r)
+                assert value == c_value and per_draw.tobytes() == c_per_draw.tobytes()
 
     def test_zero_class(self):
         dist = uniform_dist(4)

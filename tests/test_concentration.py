@@ -1,14 +1,21 @@
 """Shifted multiplier process: exact suprema, self-localization, MGF/tails."""
 
+import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from offset_risk import concentration, model
 from offset_risk.complexity import FiniteClassSpec
 from offset_risk.concentration import (
     MultiplierSetup,
     _bootstrap_log_mgf,
+    _sup_kernel,
     mgf_verify,
     multiplier_sup,
     self_localization_check,
@@ -16,7 +23,7 @@ from offset_risk.concentration import (
     tail_verify,
 )
 from offset_risk.instances import random_multiplier_setup
-from offset_risk.model import DiscreteDistribution, rng_stream
+from offset_risk.model import DiscreteDistribution, replicate_counts, rng_stream
 from stream_reference import loop_draws
 
 
@@ -194,6 +201,96 @@ class TestSimulation:
         assert np.all(sups >= 0.0)
 
 
+def one_shot_sup_draws(setup, n, replicates, seed):
+    """The kernel applied once to all (R, s) replicate counts."""
+    counts, _ = replicate_counts(seed, "multiplier-sample", replicates, n, setup.joint)
+    best, lam, sups, _, quad = _sup_kernel(setup, counts, n)
+    return sups, lam**2 * quad[np.arange(replicates), best]
+
+
+class TestChunkedSimulation:
+    # 8,193 replicates of n = 4 are one full 8,192-row chunk plus one row
+    # unless the chunks are even; a one-row product goes through BLAS's
+    # matrix-vector kernel, whose last bits differ from the matrix kernel's
+    # on 6 of these 40 setups (OpenBLAS 0.3.31 on x86-64).
+    @pytest.mark.parametrize("n, replicates, setups", [
+        (4, 8193, 40), (6, 20_000, 4), (5, 97, 4), (1, 3, 4), (11, 1, 4),
+    ])
+    @pytest.mark.parametrize("chunk_words", [model._CHUNK_WORDS, 64])
+    def test_equals_the_one_shot_kernel_bit_for_bit(self, n, replicates, setups, chunk_words,
+                                                    monkeypatch):
+        monkeypatch.setattr(model, "_CHUNK_WORDS", chunk_words)  # counts do not change
+        rng = np.random.default_rng(n * replicates)
+        for trial in range(setups):
+            setup = random_multiplier_setup(rng)
+            want = one_shot_sup_draws(setup, n, replicates, seed=trial)
+            got = simulate_sup_draws(setup, n, replicates, seed=trial)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+
+    def test_results_are_read_only(self):
+        setup = random_multiplier_setup(np.random.default_rng(3))
+        sups, quad_at_max = simulate_sup_draws(setup, n=5, replicates=300, seed=2)
+        for arr in (sups, quad_at_max):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
+    def test_mgf_then_tail_draws_once(self, monkeypatch):
+        calls = []
+        real_chunks = concentration._count_chunks
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real_chunks(*args, **kwargs)
+
+        monkeypatch.setattr(concentration, "_count_chunks", spy)
+        setup = random_multiplier_setup(np.random.default_rng(4))
+        deltas = np.array([0.1, 0.01])
+        mgf_verify(setup, n=5, replicates=2000, seed=7, bootstrap_resamples=20)
+        tail = tail_verify(setup, n=5, replicates=2000, delta_grid=deltas, seed=7)
+        assert len(calls) == 1
+        fresh = tail_verify(dataclasses.replace(setup), n=5, replicates=2000,
+                            delta_grid=deltas, seed=7)
+        np.testing.assert_array_equal(tail.exceed_freq, fresh.exceed_freq)
+        assert len(calls) == 2  # a new setup object keeps nothing
+        # Any other (n, R, seed) draws again and replaces the kept result.
+        for n, replicates, seed in [(5, 2000, 8), (6, 2000, 8), (6, 2500, 8), (5, 2000, 7)]:
+            tail_verify(setup, n=n, replicates=replicates, delta_grid=deltas, seed=seed)
+        assert len(calls) == 6
+        simulate_sup_draws(setup, 5, 2000, 7)
+        assert len(calls) == 6
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
+    def test_peak_rss_grows_by_the_outputs_only(self):
+        # Holding the (R, s) counts and the (R, 2k) and (R, k) kernel blocks
+        # made the peak grow by 110 MB from R = 20k to 400k at s = 8, k = 4;
+        # the two float64 outputs take 6.4 MB at 400k.
+        script = (
+            "import resource, sys\n"
+            "import numpy as np\n"
+            "from offset_risk.complexity import FiniteClassSpec\n"
+            "from offset_risk.concentration import MultiplierSetup, simulate_sup_draws\n"
+            "from offset_risk.model import DiscreteDistribution\n"
+            "rng = np.random.default_rng(0)\n"
+            "joint = DiscreteDistribution(xs=np.arange(8.0)[:, None], "
+            "ys=rng.uniform(-1, 1, 8), probs=np.full(8, 1 / 8), b=1.0)\n"
+            "setup = MultiplierSetup(joint=joint, "
+            "class_spec=FiniteClassSpec(base=rng.uniform(-1, 1, (4, 8))), gamma=0.5)\n"
+            "simulate_sup_draws(setup, 6, int(sys.argv[1]), 0)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        src = str(Path(concentration.__file__).resolve().parents[1])
+        peaks = []
+        for replicates in (20_000, 400_000):
+            res = subprocess.run([sys.executable, "-c", script, str(replicates)],
+                                 capture_output=True, text=True, check=True,
+                                 env={**os.environ, "PYTHONPATH": src})
+            peaks.append(int(res.stdout) * 1024 / 1e6)  # MB
+        outputs = 2 * 400_000 * 8 / 1e6
+        assert peaks[1] - peaks[0] <= outputs + 16
+
+
 class TestMgfVerify:
     def test_zero_class_no_violations(self):
         setup = make_setup([1.0, -1.0], [0.5, 0.5], np.zeros((1, 2)), gamma=0.5)
@@ -362,6 +459,12 @@ class TestTailVerify:
         setup = random_multiplier_setup(rng)
         with pytest.raises(ValueError, match="delta"):
             tail_verify(setup, n=5, replicates=500, delta_grid=np.array(deltas), seed=0)
+
+    def test_empty_delta_grid_rejected(self):
+        # An empty grid used to report holds=True with nothing checked.
+        setup = random_multiplier_setup(np.random.default_rng(10))
+        with pytest.raises(ValueError, match="at least one delta"):
+            tail_verify(setup, n=5, replicates=500, delta_grid=np.array([]), seed=0)
 
     def test_zero_class_never_exceeds(self):
         setup = make_setup([1.0, -1.0], [0.5, 0.5], np.zeros((1, 2)), gamma=0.5)

@@ -95,6 +95,17 @@ class TestReplicateDraws:
         want = loop_counts(17, "chunks", replicates, n, DISTS[2], True)
         assert_same_draws(replicate_counts(17, "chunks", replicates, n, DISTS[2], True), want)
 
+    @pytest.mark.parametrize("replicates, words", [(8193, 4), (97, 5), (3, 7), (1, 9),
+                                                   (10, 10**5), (65_537, 1)])
+    def test_chunks_split_the_replicates_evenly(self, replicates, words):
+        # A remainder chunk used to take what was left, down to one row.
+        spans = [(lo, block.shape[0]) for lo, block in
+                 model._replicate_words(11, replicates, words)]
+        rows = [size for _, size in spans]
+        assert [lo for lo, _ in spans] == np.cumsum([0, *rows[:-1]]).tolist()
+        assert sum(rows) == replicates and max(rows) - min(rows) <= 1
+        assert max(rows) <= max(1, model._CHUNK_WORDS // words)
+
     def test_zero_probability_atoms_are_never_drawn(self):
         counts, _ = replicate_counts(3, "zero-atoms", 2000, 9, DISTS[1])
         assert not counts[:, [1, 4]].any()
