@@ -48,9 +48,15 @@ __all__ = [
 
 _EXACT_SIGMA_CAP = 20  # 2^20 sign patterns is the largest exhaustive mode
 _SUBSET_FAMILY_CAP = 10**6  # largest sparse subset family enumerated
-# Rank cut of hat_matrix and of every subset basis: singular values at or
-# below this times the largest count as zero.
+# Rank cut of hat_matrix, the dense reference of the sparse_identity check:
+# singular values at or below this times the largest count as zero.
 _RANK_REL_TOL = 1e-10
+# Rank cut of the sparse Gram factors: a column whose Cholesky residual square
+# norm is at most this times its own is dropped as dependent. The Gram squares
+# conditioning, so an exactly dependent column keeps a rounding residual near
+# 1e-16 / (smallest kept one) <= 1e-9 of its own; residual norms above 3.2e-4 stay.
+_GRAM_REL_TOL = 1e-7
+_FIT_CHUNK_ELEMENTS = 2**18  # float64 values per (subsets, signs) block of the sparse kernel
 
 
 @dataclass(frozen=True)
@@ -403,17 +409,14 @@ def hat_matrix(columns: np.ndarray) -> np.ndarray:
     u, sv, _ = np.linalg.svd(columns, full_matrices=False)
     if sv.size == 0 or sv[0] == 0.0:
         return np.zeros((columns.shape[0], columns.shape[0]))
-    keep = sv > _RANK_REL_TOL * sv[0]
-    basis = u[:, keep]
+    basis = u[:, sv > _RANK_REL_TOL * sv[0]]
     return basis @ basis.T
 
 
 def subset_family(d: int, k: int) -> list[tuple[int, ...]]:
     """All index subsets of {0..d-1} with size 1..k, in lexicographic order."""
-    out: list[tuple[int, ...]] = []
-    for size in range(1, k + 1):
-        out.extend(itertools.combinations(range(d), size))
-    return out
+    return list(itertools.chain.from_iterable(
+        itertools.combinations(range(d), size) for size in range(1, k + 1)))
 
 
 def sparse_offset_exact(spec: SparseClassSpec, sigma: np.ndarray) -> float:
@@ -422,9 +425,10 @@ def sparse_offset_exact(spec: SparseClassSpec, sigma: np.ndarray) -> float:
     Over all supports S with |S| <= k, and over all weight vectors on S, the
     supremum of <Phi_S w, sigma> - gamma w' Phi_S' Phi_S w equals
     sigma' H_S sigma / (4 gamma) with H_S the projector onto the columns of
-    Phi_S; the overall value is the max over supports. Divide by n externally
-    for the complexity normalization. Computed as the one-row case of
-    :func:`sparse_offset_values`.
+    Phi_S, that is c_S' G_S^+ c_S / (4 gamma) with c = sigma Phi and
+    G = Phi' Phi; the overall value is the max over supports. Divide by n
+    externally for the complexity normalization. Computed as the one-row case
+    of :func:`sparse_offset_values`.
     """
     sigma = np.asarray(sigma, dtype=np.float64)
     if sigma.ndim != 1:
@@ -432,89 +436,78 @@ def sparse_offset_exact(spec: SparseClassSpec, sigma: np.ndarray) -> float:
     return float(sparse_offset_values(spec, sigma[None, :])[0])
 
 
-# Subsets per batched SVD are capped so that the stacked (subsets, n, size)
-# input holds at most this many float64 values (8 MB).
-_SVD_CHUNK_ELEMENTS = 2**20
+def _subset_factors(features: np.ndarray, k: int) -> list[tuple[np.ndarray, ...]]:
+    """Per support size, (members, parent, rows) of its subsets in lexicographic order.
 
-# One slot, {"entry": (key, bases)}, so at most one basis set is resident: a
-# gamma sweep reuses it, any other (features, k) replaces it. The key is the
-# feature content, not the array's identity, so an in-place edit of the
-# features misses the slot.
-_basis_slot: dict = {}
-
-
-def _build_subset_bases(features: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    n, d = features.shape
-    family = subset_family(d, k)
-    # Upper bound on the total rank; rows past the actual total stay unwritten.
-    rows = np.empty((sum(comb(d, size) * min(n, size) for size in range(1, k + 1)), n))
-    ranks: list[np.ndarray] = []
-    filled = 0
-    first = 0
-    for size in range(1, k + 1):
-        members = np.array(family[first : first + comb(d, size)], dtype=np.intp)
-        first += members.shape[0]
-        chunk = max(1, _SVD_CHUNK_ELEMENTS // (n * size))
-        for lo in range(0, members.shape[0], chunk):
-            cols = features[:, members[lo : lo + chunk]].transpose(1, 0, 2)
-            u, sv, _ = np.linalg.svd(cols, full_matrices=False)
-            # Same rank cut as hat_matrix; an all-zero subset keeps nothing.
-            keep = sv > _RANK_REL_TOL * sv[:, :1]
-            block = u.transpose(0, 2, 1)[keep]
-            rows[filled : filled + block.shape[0]] = block
-            filled += block.shape[0]
-            # Rank-zero subsets contribute exactly 0 and are dropped here;
-            # the caller clamps the overall maximum at 0, and empty segments
-            # would corrupt the segmented reduction.
-            rank = keep.sum(axis=1)
-            ranks.append(rank[rank > 0])
-    sizes = np.concatenate(ranks)
-    starts = np.zeros(sizes.size, dtype=np.int64)
-    np.cumsum(sizes[:-1], out=starts[1:])
-    return rows[:filled], starts
-
-
-def _stacked_subset_bases(spec: SparseClassSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases of all subset column spaces, stacked for batching.
-
-    Returns (basis_rows, segment_starts): basis_rows is (total_rank, n) with
-    the transposed bases stacked; segment_starts delimits each subset's rows
-    for segmented reduction. Each subset size takes one batched SVD per
-    chunk. The result is kept for the next call with the same feature
-    content and k; both arrays are read-only because later calls share them.
+    ``parent[i]`` indexes ``members[i, :-1]`` one size down (the empty subset
+    for size 1). ``rows[i]`` is the last row of the inverse of its Gram's
+    Cholesky factor (zero if cut): its last coordinate is rows[i] @ c[members[i]].
     """
-    feats = spec.features
-    key = (feats.shape, feats.tobytes(), spec.k)
-    cached = _basis_slot.get("entry")
-    if cached is not None and cached[0] == key:
-        return cached[1]
-    _basis_slot.clear()
-    bases = _build_subset_bases(feats, spec.k)
-    for arr in bases:
-        arr.flags.writeable = False
-    _basis_slot["entry"] = (key, bases)
-    return bases
+    d = features.shape[1]
+    gram = features.T @ features
+    diag = gram.diagonal()
+    family = iter(subset_family(d, k))
+    levels, last, inverse = [], np.array([-1]), np.zeros((1, 0, 0))
+    for size in range(1, k + 1):
+        count = comb(d, size)
+        members = np.fromiter(itertools.chain.from_iterable(itertools.islice(family, count)),
+                              dtype=np.intp, count=count * size).reshape(count, size)
+        # The children of each parent are contiguous: it plus every later column.
+        parent = np.repeat(np.arange(last.size), d - 1 - last)
+        prior = inverse[parent]  # (M, size - 1, size - 1)
+        new = members[:, -1]
+        column = np.einsum("mij,mj->mi", prior, gram[members[:, :-1], new[:, None]])
+        resid = diag[new] - np.einsum("mi,mi->m", column, column)
+        keep = resid > _GRAM_REL_TOL * diag[new]
+        pivot = np.where(keep, 1.0 / np.sqrt(np.where(keep, resid, 1.0)), 0.0)[:, None]
+        rows = np.hstack([np.einsum("mi,mij->mj", column, prior) * -pivot, pivot])
+        levels.append((members, parent, rows))
+        last = new
+        if size < k:  # the next size's parent factors, [[prior, 0], [rows]]
+            inverse = np.concatenate([np.pad(prior, ((0, 0), (0, 0), (0, 1))), rows[:, None]], 1)
+    return levels
 
 
 def sparse_offset_values(spec: SparseClassSpec, sigmas: np.ndarray) -> np.ndarray:
     """Unnormalized sparse offset suprema for a batch of sign vectors.
 
-    Same quantity as :func:`sparse_offset_exact` per row of ``sigmas``,
-    computed with stacked subset bases so that sweeps stay affordable.
+    Same quantity as :func:`sparse_offset_exact` per row of ``sigmas``. With
+    c = sigma Phi, a subset's c_S' G_S^+ c_S is its parent's plus one new
+    coordinate squared: O(subsets x k^2) to factor per call, then one length-d
+    row of a BLAS product per subset and sign, in blocks of at most
+    _FIT_CHUNK_ELEMENTS (subset, sign) values. Nothing is kept between calls.
     """
     sigmas = np.atleast_2d(np.asarray(sigmas, dtype=np.float64))
     if sigmas.shape[1] != spec.n:
         raise ValueError("sigma must have one entry per feature row")
-    basis_rows, starts = _stacked_subset_bases(spec)
-    if basis_rows.shape[0] == 0:
-        return np.zeros(sigmas.shape[0])
-    out = np.empty(sigmas.shape[0])
-    chunk = max(1, int(2**22 // max(1, basis_rows.shape[0])))
-    for lo in range(0, sigmas.shape[0], chunk):
-        batch = sigmas[lo : lo + chunk]
-        proj = batch @ basis_rows.T  # (B, total_rank)
-        sq = np.add.reduceat(proj**2, starts, axis=1)  # (B, n_subsets)
-        out[lo : lo + chunk] = np.maximum(sq.max(axis=1), 0.0)
+    levels = _subset_factors(spec.features, spec.k)
+    coords = (sigmas @ spec.features).T  # (d, B): c = sigma Phi per column
+    out = np.zeros(sigmas.shape[0])  # 0 is the empty support's value
+    signs = max(1, min(out.size, _FIT_CHUNK_ELEMENTS))
+    # A column cut from a support can leave it below one of its subsets, so
+    # every size takes its turn as the last, in blocks with their prefixes.
+    for chain in (levels[:size] for size in range(1, spec.k + 1)):
+        start, total, step = 0, chain[-1][0].shape[0], _FIT_CHUNK_ELEMENTS // signs
+        while start < total:
+            stop = min(total, start + step)
+            while True:  # index ranges of the subsets [start, stop), then of their prefixes
+                spans = [(start, stop)]
+                for _, parent, _ in chain[:0:-1]:
+                    spans.insert(0, (int(parent[spans[0][0]]), int(parent[spans[0][1] - 1]) + 1))
+                if np.diff(spans).max() <= step:
+                    break
+                stop = start + (stop - start) // 2  # the prefixes outnumber the block
+            for lo in range(0, out.size, signs):
+                values, below = np.zeros((1, min(signs, out.size - lo))), 0
+                for (members, parent, rows), (a, b) in zip(chain, spans):
+                    factor = np.zeros((b - a, spec.d))  # each subset's row, dense over d
+                    np.put_along_axis(factor, members[a:b], rows[a:b], axis=1)
+                    coord = factor @ coords[:, lo : lo + signs]
+                    np.square(coord, out=coord)
+                    coord += values.take(parent[a:b] - below, axis=0)
+                    values, below = coord, a
+                np.maximum(out[lo : lo + signs], values.max(axis=0), out=out[lo : lo + signs])
+            start = stop
     return out / (4.0 * spec.gamma)
 
 

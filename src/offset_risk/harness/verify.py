@@ -12,7 +12,8 @@ instance i is built from ``rng_stream(seed, tag, i)`` alone by a module-level
 evaluator ``(config, rng, index) -> row``, and the check reduces the stacked
 rows. Its ``detail["worst_key"]`` is the ``[seed, tag, index]`` of the first
 instance that sets the margin, so ``evaluate(config, rng_stream(*key),
-key[2])`` rebuilds that instance's row alone.
+key[2])`` rebuilds that instance's row alone. ``sparse_shape`` instead names
+the first ``[d, k, gamma]`` cell with its largest ratio, ``detail["worst_cell"]``.
 
 Deterministic inequalities are checked exactly (tolerance 1e-10 or tighter);
 Monte-Carlo claims carry the confidence slack stated in their check.
@@ -230,7 +231,7 @@ def _sparse_ratios(report) -> list[float]:
 @_timed
 def check_sparse_shape(config: ExperimentConfig):
     """Sweep ratios below the frozen constant; exact inverse-gamma scaling."""
-    max_ratio = 0.0
+    cells = []  # (ratio, [d, k, gamma])
     scaling_dev = 0.0
     for d in (8, 16, 32):
         for k in (1, 2, 4):
@@ -238,17 +239,19 @@ def check_sparse_shape(config: ExperimentConfig):
             phi = rng.normal(size=(64, d))
             report = sparse_offset_bound_check(SparseClassSpec(features=phi, k=k, gamma=1.0),
                                                sigma_replicates=1000, seed=config.seed + 7)
-            max_ratio = max(max_ratio, *_sparse_ratios(report))
+            cells += [(r, [d, k, g]) for g, r in zip((0.5, 1.0, 2.0), _sparse_ratios(report))]
             sig_rng = rng_stream(config.seed, f"verify-sparse-scaling-d{d}-k{k}")
             sigmas = sig_rng.integers(0, 2, size=(8, 64)) * 2.0 - 1.0
             v1 = sparse_offset_values(SparseClassSpec(features=phi, k=k, gamma=1.0), sigmas)
             v2 = sparse_offset_values(SparseClassSpec(features=phi, k=k, gamma=2.0), sigmas)
             scale = np.maximum(1.0, np.abs(v1))
             scaling_dev = max(scaling_dev, float(np.max(np.abs(2.0 * v2 - v1) / scale)))
+    max_ratio, worst_cell = max(cells, key=lambda cell: cell[0])  # the first largest
     return (f"sweep ratio vs k log(ed/k)/(gamma n) bounded by {SPARSE_RATIO_BOUND}",
             max_ratio <= SPARSE_RATIO_BOUND and scaling_dev <= 1e-10,
             max_ratio, SPARSE_RATIO_BOUND - max_ratio,
-            {"max_ratio": max_ratio, "inverse_gamma_scaling_dev": scaling_dev})
+            {"max_ratio": max_ratio, "inverse_gamma_scaling_dev": scaling_dev,
+             "worst_cell": worst_cell})
 
 
 def _mgf_row(config, rng, index):
@@ -312,20 +315,20 @@ def check_aggregation_rate(config: ExperimentConfig):
 
 
 def _mirror_row(config, rng, index):
-    """(smallest stopping margin, failed) on one run; inf when t* is never reached."""
+    """(smallest stopping margin, failed, t*) on one run; inf and nan when t* is never reached."""
     positive = index % 2 == 1
     dist, sample, w_star, w0 = random_linear_instance(rng, positive=positive)
     trace = mirror_descent(sample, dist, _LOSS, w_star, w0,
                            mirror_map="negative_entropy" if positive else "euclidean",
                            epsilon=0.05, step=_MIRROR_STEP)
     if trace.t_star is None or trace.offset is None:
-        return np.inf, True
+        return np.inf, True, np.nan
     slack_t = trace.euler_excess / trace.epsilon + _MIRROR_STEP
     c1_margin = (2.0 * trace.bregman_initial / trace.epsilon + slack_t) - trace.t_star
     c2_margin = (trace.bregman_initial + trace.euler_excess + 1e-9) - trace.bregman_path[-1][1]
     c3_margin = trace.offset.margin + 1e-12
     worst = min(c1_margin, c2_margin, c3_margin)
-    return worst, worst < 0
+    return worst, worst < 0, trace.t_star
 
 
 @_timed
@@ -334,6 +337,8 @@ def check_mirror_descent(config: ExperimentConfig):
     rows, key = _keyed(config, "verify-mirror", 100, _mirror_row)
     worst = rows[:, 0].min()
     failures = int(rows[:, 1].sum())
+    stepping = np.flatnonzero(rows[:, 2] > 0)  # a t* = 0 run's margin is the 1e-9 slack
+    step_at = stepping[rows[stepping, 0].argmin()] if stepping.size else None
     # Analytic scalar flow: w_t = exp(-2t).
     dist1 = DiscreteDistribution(xs=[[1.0]], ys=[0.0], probs=[1.0], b=1.0)
     trace1 = mirror_descent(Sample(indices=[0]), dist1, _LOSS, [0.0], [1.0],
@@ -344,7 +349,9 @@ def check_mirror_descent(config: ExperimentConfig):
     return ("early-stopping conditions with measured Euler slack (100 runs) + analytic flow",
             failures == 0 and analytic_dev <= 5.0 * 1e-3, worst, worst,
             {"failures": failures, "analytic_dev": analytic_dev, "step": _MIRROR_STEP,
-             "worst_key": key(rows[:, 0].argmin())})
+             "worst_key": key(rows[:, 0].argmin()),
+             "worst_stepping_margin": None if step_at is None else float(rows[step_at, 0]),
+             "worst_stepping_key": None if step_at is None else key(step_at)})
 
 
 def _duality_row(config, rng, index):

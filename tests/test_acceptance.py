@@ -13,6 +13,7 @@ Tolerances are pinned in the checks themselves:
 
 from offset_risk.harness import verify
 from offset_risk.harness.config import ExperimentConfig
+from offset_risk.model import rng_stream
 
 MASTER_SEED = 20240301
 CONFIG = ExperimentConfig(command="verify", seed=MASTER_SEED)
@@ -70,7 +71,13 @@ class TestAcceptance:
     def test_09_mirror_descent_stopping(self):
         # 100 random linear instances, both mirror maps, all three stopping
         # conditions with measured Euler slack; analytic flow within 5*step.
-        report(verify.check_mirror_descent(CONFIG))
+        result = verify.check_mirror_descent(CONFIG)
+        report(result)
+        # The worst run that steps (t* > 0) rebuilds alone from its key.
+        key = result.detail["worst_stepping_key"]
+        margin, _, t_star = verify._mirror_row(CONFIG, rng_stream(*key), key[2])
+        assert t_star > 0
+        assert margin == result.detail["worst_stepping_margin"] >= result.statistic
 
     def test_10_bernstein_offset_duality(self):
         # 100 instances: margins agree within 1e-12 through the empirical

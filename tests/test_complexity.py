@@ -547,20 +547,6 @@ def loop_sparse_offset_exact(spec, sigma):
     return best / (4.0 * spec.gamma)
 
 
-def loop_subset_bases(features, k):
-    """One SVD per subset: the reference for the batched basis build."""
-    blocks, sizes = [], []
-    for subset in subset_family(features.shape[1], k):
-        u, sv, _ = np.linalg.svd(features[:, subset], full_matrices=False)
-        keep = sv > 1e-10 * sv[0] if sv[0] > 0 else np.zeros(sv.shape, dtype=bool)
-        if keep.any():
-            blocks.append(u[:, keep].T)
-            sizes.append(int(keep.sum()))
-    rows = np.vstack(blocks) if blocks else np.zeros((0, features.shape[0]))
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64) if sizes else np.zeros(0, dtype=np.int64)
-    return rows, starts
-
-
 class TestSparseOffset:
     def test_rank_one_formula(self):
         rng = np.random.default_rng(14)
@@ -699,9 +685,12 @@ def _zero_features():
     return np.zeros((6, 4)), 3
 
 
-def _chunk_crossing_features():
-    # 4845 four-subsets at n = 64: more than one batched SVD for size 4.
+def _block_crossing_features():
+    # 4845 four-subsets at n = 64: more than one block at _BLOCK_SIGNS signs.
     return np.random.default_rng(32).normal(size=(64, 20)), 4
+
+
+_BLOCK_SIGNS = 60
 
 
 def _sparse_spec():
@@ -735,26 +724,92 @@ def test_readable_input_errors(call, message):
         call()
 
 
-class TestSubsetBases:
+class TestSubsetGramFactors:
     @pytest.mark.parametrize(
         "make",
-        [_collinear_features, _zero_column_features, _zero_features, _chunk_crossing_features],
+        [_collinear_features, _zero_column_features, _zero_features, _block_crossing_features],
+        ids=["collinear", "zero-column", "all-zero", "block-crossing"],
     )
-    def test_batched_build_matches_per_subset_svd_bit_for_bit(self, make):
+    def test_matches_projector_loop(self, make):
         phi, k = make()
-        rows, starts = complexity._stacked_subset_bases(
-            SparseClassSpec(features=phi, k=k, gamma=1.0)
-        )
-        ref_rows, ref_starts = loop_subset_bases(phi, k)
-        assert rows.shape == ref_rows.shape
-        assert rows.tobytes() == ref_rows.tobytes()
-        np.testing.assert_array_equal(starts, ref_starts)
-        assert starts.dtype == np.int64
+        spec = SparseClassSpec(features=phi, k=k, gamma=0.75)
+        sigmas = np.random.default_rng(38).choice([-1.0, 1.0], size=(_BLOCK_SIGNS, phi.shape[0]))
+        got = sparse_offset_values(spec, sigmas)
+        looped = np.array([loop_sparse_offset_exact(spec, s) for s in sigmas[:6]])
+        np.testing.assert_allclose(got[:6], looped, rtol=1e-12, atol=0.0)
+        singles = np.array([sparse_offset_exact(spec, s) for s in sigmas])
+        np.testing.assert_allclose(got, singles, rtol=1e-13, atol=0.0)
 
-    def test_chunk_case_crosses_the_chunk_boundary(self):
-        phi, k = _chunk_crossing_features()
-        n = phi.shape[0]
-        assert comb(phi.shape[1], k) > complexity._SVD_CHUNK_ELEMENTS // (n * k)
+    def test_block_case_crosses_a_block_boundary(self):
+        phi, k = _block_crossing_features()
+        assert comb(phi.shape[1], k) * _BLOCK_SIGNS > complexity._FIT_CHUNK_ELEMENTS
+
+    @pytest.mark.parametrize("signs", [4, 20])
+    def test_tiny_blocks_match_one_block(self, monkeypatch, signs):
+        # At 8 values per block, 4 signs make blocks of two subsets, and a
+        # block whose prefixes outnumber that shrinks to one subset; 20 signs
+        # run in sign chunks of 8, 8 and 4, one subset per block.
+        rng = np.random.default_rng(41)
+        spec = SparseClassSpec(features=rng.normal(size=(12, 9)), k=5, gamma=1.0)
+        sigmas = rng.choice([-1.0, 1.0], size=(signs, 12))
+        whole = sparse_offset_values(spec, sigmas)
+        monkeypatch.setattr(complexity, "_FIT_CHUNK_ELEMENTS", 8)
+        np.testing.assert_allclose(sparse_offset_values(spec, sigmas), whole, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("seed", range(39, 44))
+    def test_near_dependent_column_is_kept_and_exact_dependence_dropped(self, seed):
+        # Column 1 leaves a residual of 1e-3 of its norm off column 0, and
+        # columns 2 = 2 col0 - col1 and 3 = col0 + 300 (col1 - col0) are
+        # exactly dependent. The Gram squares column 1's conditioning, so its
+        # coordinate carries a relative rounding error of a few 1e-16 / 1e-6
+        # (2.7e-10 measured), and a dependent column's residual keeps rounding
+        # of either sign; it must add nothing rather than amplify that rounding.
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=12)
+        e = rng.normal(size=12)
+        e -= (e @ a) / (a @ a) * a
+        e *= np.linalg.norm(a) / np.linalg.norm(e)
+        b = a + 1e-3 * e
+        phi = np.stack([a, b, 2.0 * a - b, a + 300.0 * (b - a), rng.normal(size=12)], axis=1)
+        sigmas = rng.choice([-1.0, 1.0], size=(8, 12))
+        for k in (2, 3):
+            spec = SparseClassSpec(features=phi, k=k, gamma=1.0)
+            looped = np.array([loop_sparse_offset_exact(spec, s) for s in sigmas])
+            np.testing.assert_allclose(sparse_offset_values(spec, sigmas), looped, rtol=1e-8)
+        pair = SparseClassSpec(features=phi[:, :2], k=2, gamma=1.0)
+        trio = SparseClassSpec(features=phi[:, :3], k=3, gamma=1.0)
+        # Columns 0 and 1 span column 2 as well, so it adds no value.
+        np.testing.assert_allclose(sparse_offset_values(trio, sigmas),
+                                   sparse_offset_values(pair, sigmas), rtol=1e-8)
+        # Column 1's own direction counts: (sigma . e_unit)^2 / 4 on top of column 0's.
+        single = SparseClassSpec(features=phi[:, :1], k=1, gamma=1.0)
+        gain = (sigmas @ (e / np.linalg.norm(e))) ** 2 / 4.0
+        np.testing.assert_allclose(sparse_offset_values(pair, sigmas)
+                                   - sparse_offset_values(single, sigmas), gain, rtol=1e-8)
+        # A residual of 3e-5 of the norm (9e-10 squared) is within the cut:
+        # pairing that column with column 0 adds nothing over the singles.
+        within = np.stack([a, a + 3e-5 * e], axis=1)
+        np.testing.assert_allclose(
+            sparse_offset_values(SparseClassSpec(features=within, k=2, gamma=1.0), sigmas),
+            sparse_offset_values(SparseClassSpec(features=within, k=1, gamma=1.0), sigmas),
+            rtol=1e-13)
+
+    @pytest.mark.parametrize("signs", [50, 1000])
+    def test_traced_peak_is_bounded(self, signs):
+        # The kernel keeps (subset, sign) blocks of _FIT_CHUNK_ELEMENTS values
+        # and a per-call factor of O(subsets x k) values; stacked subset
+        # bases held 159,744 rows of 64 floats here (a 153-159 MiB peak).
+        rng = np.random.default_rng(40)
+        spec = SparseClassSpec(features=rng.normal(size=(64, 32)), k=4, gamma=1.0)
+        sigmas = rng.choice([-1.0, 1.0], size=(signs, 64))
+        tracemalloc.start()
+        try:
+            values = sparse_offset_values(spec, sigmas)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert values.shape == (signs,) and np.all(values > 0)
+        assert peak < 32 * 2**20
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -766,10 +821,16 @@ class TestSubsetBases:
             return original(d, k)
 
         monkeypatch.setattr(complexity, "subset_family", counting)
-        complexity._basis_slot.clear()
         return calls
 
-    def test_reused_bases_follow_in_place_edit_of_features(self, builds):
+    def test_each_call_enumerates_the_family_once(self, builds):
+        phi = np.random.default_rng(37).normal(size=(6, 4))
+        sigmas = np.ones((2, 6))
+        for k in (1, 2, 2, 3):
+            sparse_offset_values(SparseClassSpec(features=phi, k=k, gamma=1.0), sigmas)
+        assert builds == [(4, 1), (4, 2), (4, 2), (4, 3)]
+
+    def test_values_follow_in_place_edit_of_features(self):
         rng = np.random.default_rng(33)
         phi = rng.normal(size=(8, 5))
         sigmas = rng.choice([-1.0, 1.0], size=(6, 8))
@@ -777,15 +838,13 @@ class TestSubsetBases:
         assert spec.features is phi
         first = sparse_offset_values(spec, sigmas)
         assert np.array_equal(sparse_offset_values(spec, sigmas), first)
-        assert len(builds) == 1
         phi[:, 2] = phi[:, 0]
         edited = sparse_offset_values(spec, sigmas)
-        assert len(builds) == 2
         looped = np.array([loop_sparse_offset_exact(spec, s) for s in sigmas])
         np.testing.assert_allclose(edited, looped, atol=1e-10)
         assert not np.allclose(edited, first)
 
-    def test_reused_bases_follow_change_of_k(self, builds):
+    def test_values_follow_change_of_k(self):
         rng = np.random.default_rng(34)
         phi = rng.normal(size=(8, 5))
         sigmas = rng.choice([-1.0, 1.0], size=(6, 8))
@@ -793,40 +852,19 @@ class TestSubsetBases:
             spec = SparseClassSpec(features=phi, k=k, gamma=0.9)
             looped = np.array([loop_sparse_offset_exact(spec, s) for s in sigmas])
             np.testing.assert_allclose(sparse_offset_values(spec, sigmas), looped, atol=1e-10)
-        assert builds == [(5, 2), (5, 3), (5, 2)]
 
-    def test_inverse_gamma_scaling_exact_across_reuse(self, builds):
+    def test_inverse_gamma_scaling_is_exact(self):
         rng = np.random.default_rng(35)
         phi = rng.normal(size=(12, 6))
         sigmas = rng.choice([-1.0, 1.0], size=(10, 12))
         gammas = (0.5, 1.0, 2.0, 4.0)
         values = [sparse_offset_values(SparseClassSpec(features=phi.copy(), k=3, gamma=g), sigmas)
                   for g in gammas]
-        assert len(builds) == 1
         for g, v in zip(gammas, values):
             np.testing.assert_array_equal(g * v, values[1])
 
-    def test_slot_is_cleared_before_a_new_build(self, builds, monkeypatch):
-        # At most one basis set is resident: the old one is released before
-        # the next one is built.
-        resident = []
-        original = complexity._build_subset_bases
-
-        def build(features, k):
-            resident.append(len(complexity._basis_slot))
-            return original(features, k)
-
-        monkeypatch.setattr(complexity, "_build_subset_bases", build)
-        phi = np.random.default_rng(37).normal(size=(6, 4))
-        sigmas = np.ones((2, 6))
-        for k in (1, 2, 2, 3):
-            sparse_offset_values(SparseClassSpec(features=phi, k=k, gamma=1.0), sigmas)
-        assert resident == [0, 0, 0]
-        assert len(complexity._basis_slot) == 1
-
-    def test_shared_bases_are_read_only(self, builds):
-        phi = np.random.default_rng(36).normal(size=(5, 4))
-        rows, starts = complexity._stacked_subset_bases(
-            SparseClassSpec(features=phi, k=2, gamma=1.0)
-        )
-        assert not rows.flags.writeable and not starts.flags.writeable
+    def test_module_keeps_no_mutable_state(self):
+        mutable = {name for name, value in vars(complexity).items()
+                   if isinstance(value, (dict, list, set, np.ndarray))
+                   and name not in ("__all__", "__builtins__")}
+        assert mutable == set()

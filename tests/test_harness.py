@@ -322,6 +322,15 @@ class TestRunVerify:
             else:
                 assert max(other) < max(row)
 
+    def test_sparse_worst_cell_sets_the_max_ratio(self):
+        cfg = ExperimentConfig(command="verify", seed=0)
+        detail = verify.check_sparse_shape(cfg).detail
+        d, k, gamma = detail["worst_cell"]
+        phi = rng_stream(0, f"verify-sparse-shape-d{d}-k{k}").normal(size=(64, d))
+        report = sparse_offset_bound_check(SparseClassSpec(features=phi, k=k, gamma=gamma),
+                                           sigma_replicates=1000, seed=7)
+        assert report.ratio == detail["max_ratio"]
+
     def test_sparse_ratios_match_one_call_per_gamma(self):
         phi = rng_stream(0, "verify-sparse-shape-d8-k2").normal(size=(64, 8))
         one = sparse_offset_bound_check(SparseClassSpec(features=phi, k=2, gamma=1.0),
