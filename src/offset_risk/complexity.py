@@ -207,7 +207,6 @@ def offset_complexity_draws(
     n: int,
     replicates: int,
     seed: int,
-    include_population_term: bool = True,
 ) -> np.ndarray:
     """Per-replicate values behind the offset complexity estimate."""
     if not 0 <= gamma < np.inf:
@@ -215,8 +214,7 @@ def offset_complexity_draws(
     if class_spec.base.shape[1] != dist.size:
         raise ValueError("class value tables must match the support size")
     counts, signed = replicate_counts(seed, "offset-complexity", replicates, n, dist, signs=True)
-    pop_sq = class_spec._base_sq @ dist.probs if include_population_term else None
-    return _per_draw_sups(class_spec, gamma, n, signed, counts, pop_sq)
+    return _per_draw_sups(class_spec, gamma, n, signed, counts, class_spec._base_sq @ dist.probs)
 
 
 def _std_error(values: np.ndarray) -> float:

@@ -313,7 +313,9 @@ def mirror_descent(
 ) -> MirrorDescentTrace:
     """Integrate the mirror flow on the empirical risk and stop early.
 
-    Linear predictors x -> <w, x> on the sampled feature rows. The flow is
+    Linear predictors x -> <w, x> on the support features ``dist.xs``; the
+    sample enters through its atom counts, atom a weighing count(a)/n, so
+    R_n(w) = sum_a (count(a)/n) loss(<w, x_a>, y_a). The flow is
     discretized by explicit Euler in the dual coordinates theta = grad psi(w):
     theta <- theta - step * grad R_n(w). The run stops at the first time t
     with
@@ -331,7 +333,9 @@ def mirror_descent(
     identity; every discrete statement about the run holds up to the sum of
     these terms. The horizon is 2 (D(w*, w0) + excess) / epsilon plus one
     step, the continuous-time stop guarantee widened by the measured
-    discretization error.
+    discretization error. A non-finite iterate (an overflow included) or one
+    beyond the scale guard raises :class:`DivergenceError` with the partial
+    trace and an infinite excess on overflow.
     """
     if not step > 0:
         raise ValueError(f"step must be positive, got {step!r}")
@@ -340,74 +344,57 @@ def mirror_descent(
     if mirror_map not in MIRROR_MAPS:
         raise ValueError(f"unknown mirror map {mirror_map!r}")
     to_dual, from_dual, bregman = MIRROR_MAPS[mirror_map]
-    sample.validate_for(dist)
-    X = dist.xs[sample.indices]
-    y = dist.ys[sample.indices]
-    n = X.shape[0]
+    weights = sample.counts(dist)[0] / sample.n
+    xs, ys = dist.xs, dist.ys
     w_star = np.asarray(w_star, dtype=np.float64).ravel()
-    w0 = np.asarray(w0, dtype=np.float64).ravel()
-    if w_star.shape != w0.shape or w_star.shape[0] != X.shape[1]:
+    w0 = np.array(w0, dtype=np.float64).ravel()  # a copy: the path keeps it
+    if w_star.shape != w0.shape or w_star.shape[0] != xs.shape[1]:
         raise ValueError("w_star and w0 must match the feature dimension")
     if mirror_map == "negative_entropy":
         if np.any(w0 <= 0):
             raise ValueError("negative-entropy map requires strictly positive w0")
         if np.any(w_star < 0):
             raise ValueError("negative-entropy map requires nonnegative w_star")
-    curve = loss.strong_convexity
+    half_curve = 0.5 * loss.strong_convexity
+    p_star = xs @ w_star
+    risk_ref = float(weights @ loss.eval(p_star, ys))
 
-    def risk(w: np.ndarray) -> float:
-        return float(loss.eval(X @ w, y).sum() / n)
-
-    def grad_risk(w: np.ndarray) -> np.ndarray:
-        return X.T @ loss.grad(X @ w, y) / n
-
-    risk_ref = risk(w_star)
-
-    def gap(w: np.ndarray) -> float:
-        return risk(w) - risk_ref + 0.5 * curve * float(((X @ (w - w_star)) ** 2).sum() / n)
+    def evaluate(w: np.ndarray) -> tuple[float, float, np.ndarray]:
+        """R_n(w) - R_n(w*), |w - w*|_n^2 and grad R_n(w), from one prediction."""
+        p = xs @ w
+        risk_gap = float(weights @ loss.eval(p, ys)) - risk_ref
+        return risk_gap, float(weights @ (p - p_star) ** 2), xs.T @ (weights * loss.grad(p, ys))
 
     d0 = bregman(w_star, w0)
     scale_guard = 1e6 * float(np.sqrt(w0.dot(w0))) + 1e6
-    w = w0.copy()
-    theta = to_dual(w)
-    t = 0.0
-    excess = 0.0
-    w_path = [(0.0, w0.copy())]
-    delta_path = [(0.0, gap(w0))]
-    bregman_path = [(0.0, d0)]
-    t_star: float | None = None
-    if delta_path[0][1] <= epsilon:
-        t_star = 0.0
-
+    w, theta, t, excess = w0, to_dual(w0), 0.0, 0.0
+    risk_gap, quadratic, g = evaluate(w)
+    delta = risk_gap + half_curve * quadratic
+    w_path, delta_path, bregman_path = [(0.0, w)], [(0.0, delta)], [(0.0, d0)]
+    t_star = 0.0 if delta <= epsilon else None
     diverged = False
-    while t_star is None and t < 2.0 * (d0 + excess) / epsilon + step:
-        g = grad_risk(w)
-        theta = theta - step * g
-        with np.errstate(over="raise"):
-            try:
-                w_new = from_dual(theta)
-            except FloatingPointError:
-                w_new = np.full_like(w, np.inf)
-        t += step
-        finite = bool(np.isfinite(w_new).all())
-        step_excess = step * float(g @ (w - w_new)) - (bregman(w_new, w) if finite else math.inf)
-        excess += max(0.0, step_excess) if math.isfinite(step_excess) else math.inf
-        w = w_new
-        if not finite or np.sqrt(w.dot(w)) > scale_guard:
-            diverged = True
-            break
-        w_path.append((t, w.copy()))
-        d_now = gap(w)
-        delta_path.append((t, d_now))
-        bregman_path.append((t, bregman(w_star, w)))
-        if d_now <= epsilon:
-            t_star = t
-    offset = None
-    if t_star is not None:
-        w_stop = w_path[-1][1] if t_star > 0 else w0
-        risk_gap = risk(w_stop) - risk_ref
-        quadratic = float(((X @ (w_stop - w_star)) ** 2).sum() / n)
-        offset = offset_report_from_values(risk_gap, quadratic, 0.5 * curve, epsilon)
+    with np.errstate(over="ignore"):  # an overflow is a non-finite iterate
+        while t_star is None and t < 2.0 * (d0 + excess) / epsilon + step:
+            theta = theta - step * g
+            w_new = from_dual(theta)
+            t += step
+            finite = bool(np.isfinite(w_new).all())
+            moved = bregman(w_new, w) if finite else math.inf
+            step_excess = step * float(g @ (w - w_new)) - moved
+            excess += max(0.0, step_excess) if math.isfinite(step_excess) else math.inf
+            w = w_new
+            if not finite or np.sqrt(w.dot(w)) > scale_guard:
+                diverged = True
+                break
+            risk_gap, quadratic, g = evaluate(w)
+            delta = risk_gap + half_curve * quadratic
+            w_path.append((t, w))
+            delta_path.append((t, delta))
+            bregman_path.append((t, bregman(w_star, w)))
+            if delta <= epsilon:
+                t_star = t
+    offset = None if t_star is None else offset_report_from_values(
+        risk_gap, quadratic, half_curve, epsilon)
     trace = MirrorDescentTrace(
         mirror_map=mirror_map,
         w_path=w_path,

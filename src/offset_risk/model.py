@@ -189,10 +189,6 @@ class Sample:
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "n", int(idx.size))
 
-    def validate_for(self, dist: DiscreteDistribution) -> None:
-        if self.indices.min() < 0 or self.indices.max() >= dist.size:
-            raise ValueError("sample contains atom ids outside the support")
-
     def counts(self, dist: DiscreteDistribution) -> np.ndarray:
         """Read-only (1, s) counts of the sample's atom ids over the support of ``dist``.
 
@@ -202,7 +198,8 @@ class Sample:
         """
         counts = self._counts
         if counts is None or counts.shape[1] != dist.size:
-            self.validate_for(dist)
+            if self.indices.min() < 0 or self.indices.max() >= dist.size:
+                raise ValueError("sample contains atom ids outside the support")
             # A copy owns its data: one array per sample, not a view and its base.
             counts = _atom_counts(self.indices[None, :], dist.size).copy()
             counts.flags.writeable = False

@@ -130,8 +130,13 @@ class TestCountsMatchTheGather:
         if with_population:
             quad = quad + gamma * n * ((spec.base**2) @ dist.probs)
         ref = star_hull_sup(linear, quad)[2] / n
-        got = offset_complexity_draws(dist, spec, gamma, n, plan["replicates"], plan["seed"],
-                                      include_population_term=with_population)
+        if with_population:
+            got = offset_complexity_draws(dist, spec, gamma, n, plan["replicates"], plan["seed"])
+        else:
+            # The sample-conditional variant: the same draws, no population penalty.
+            counts, signed = replicate_counts(plan["seed"], "offset-complexity",
+                                              plan["replicates"], n, dist, signs=True)
+            got = complexity._per_draw_sups(spec, gamma, n, signed, counts, None)
         assert got.shape == (plan["replicates"],)
         assert_sums_close(got, ref, spec.base, 1)
 
@@ -428,9 +433,8 @@ class TestEmpiricalOffsetComplexity:
         rng = np.random.default_rng(31)
         dist, spec = random_star_class(rng)
         with_pop = offset_complexity_draws(dist, spec, 0.5, n=8, replicates=400, seed=17)
-        without = offset_complexity_draws(
-            dist, spec, 0.5, n=8, replicates=400, seed=17, include_population_term=False
-        )
+        counts, signed = replicate_counts(17, "offset-complexity", 400, 8, dist, signs=True)
+        without = complexity._per_draw_sups(spec, 0.5, 8, signed, counts, None)
         assert np.all(with_pop <= without + 1e-12)
         pop_est = offset_complexity_mc(dist, spec, 0.5, n=8, replicates=400, seed=17)
         assert pop_est.value == with_pop.mean()

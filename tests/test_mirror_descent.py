@@ -1,9 +1,12 @@
 """Early-stopped mirror descent: analytic flow, stopping guarantees, divergence."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
-from offset_risk.estimators import DivergenceError, mirror_descent
+from offset_risk.estimators import MIRROR_MAPS, DivergenceError, mirror_descent
 from offset_risk.instances import random_linear_instance
 from offset_risk.model import DiscreteDistribution, Sample, squared_loss
 
@@ -139,3 +142,79 @@ class TestValidationAndFailure:
             mirror_descent(sample, dist, LOSS, [0.0], [1.0], epsilon=0.1, step=0.0)
         with pytest.raises(ValueError):
             mirror_descent(sample, dist, LOSS, [0.0], [1.0], epsilon=0.0, step=1e-3)
+
+
+def gather_reference(sample, dist, loss, w_star, w0, mirror_map, epsilon, step):
+    """Per-draw reference loop: the sample's feature rows gathered, one row per draw.
+
+    Returns (t_star, delta_path, bregman_path, euler_excess) of a run that
+    neither diverges nor overflows.
+    """
+    to_dual, from_dual, bregman = MIRROR_MAPS[mirror_map]
+    X, y, n = dist.xs[sample.indices], dist.ys[sample.indices], sample.n
+
+    def risk(w):
+        return float(loss.eval(X @ w, y).sum() / n)
+
+    def gap(w):
+        quad = float(((X @ (w - w_star)) ** 2).sum() / n)
+        return risk(w) - risk(w_star) + 0.5 * loss.strong_convexity * quad
+
+    d0 = bregman(w_star, w0)
+    w, theta, t, excess = w0, to_dual(w0), 0.0, 0.0
+    delta_path, bregman_path = [gap(w0)], [d0]
+    t_star = 0.0 if delta_path[0] <= epsilon else None
+    while t_star is None and t < 2.0 * (d0 + excess) / epsilon + step:
+        g = X.T @ loss.grad(X @ w, y) / n
+        theta = theta - step * g
+        w_new = from_dual(theta)
+        t += step
+        excess += max(0.0, step * float(g @ (w - w_new)) - bregman(w_new, w))
+        w = w_new
+        delta_path.append(gap(w))
+        bregman_path.append(bregman(w_star, w))
+        if delta_path[-1] <= epsilon:
+            t_star = t
+    return t_star, np.array(delta_path), np.array(bregman_path), excess
+
+
+class TestCountWeighting:
+    @pytest.mark.parametrize("mirror_map", ["euclidean", "negative_entropy"])
+    def test_repeated_atoms_match_the_per_draw_loop(self, mirror_map):
+        # random_linear_instance samples each atom once; these samples draw
+        # 3s atoms with replacement, so the counts are uneven.
+        rng = np.random.default_rng(11 if mirror_map == "euclidean" else 12)
+        for _ in range(6):
+            dist, _, w_star, w0 = random_linear_instance(
+                rng, positive=mirror_map == "negative_entropy"
+            )
+            sample = Sample(indices=rng.integers(0, dist.size, size=3 * dist.size))
+            assert np.bincount(sample.indices).max() > 1
+            trace = mirror_descent(sample, dist, LOSS, w_star, w0, mirror_map=mirror_map,
+                                   epsilon=0.05, step=1e-3)
+            t_star, deltas, divs, excess = gather_reference(
+                sample, dist, LOSS, w_star, w0, mirror_map, 0.05, 1e-3
+            )
+            assert trace.t_star == t_star
+            assert len(trace.delta_path) == len(trace.bregman_path) == deltas.size
+            np.testing.assert_allclose([v for _, v in trace.delta_path], deltas, rtol=1e-12)
+            np.testing.assert_allclose([v for _, v in trace.bregman_path], divs, rtol=1e-12)
+            assert trace.euler_excess == pytest.approx(excess, rel=1e-12)
+
+
+class TestOverflow:
+    def test_entropy_overflow_raises_with_infinite_excess_and_no_warning(self):
+        # y = 1 > w0 = 0.5 gives grad -1, so the first dual step reaches
+        # log(0.5) + 1000 and exp overflows.
+        dist = DiscreteDistribution(xs=[[1.0]], ys=[1.0], probs=[1.0], b=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as err:
+                mirror_descent(Sample(indices=[0]), dist, LOSS, [1.0], [0.5],
+                               mirror_map="negative_entropy", epsilon=0.1, step=1000.0)
+        trace = err.value.trace
+        assert trace.euler_excess == math.inf
+        assert trace.t_star is None and trace.offset is None
+        assert [t for t, _ in trace.w_path] == [0.0]
+        assert trace.w_path[0][1].tolist() == [0.5]
+        assert trace.delta_path == [(0.0, 0.5)]
