@@ -46,11 +46,9 @@ from .complexity import (
     SparseBoundReport,
     SparseClassSpec,
     empirical_offset_complexity,
-    hat_matrix,
     local_complexity_fixed_point,
     offset_complexity_mc,
     sparse_offset_bound_check,
-    sparse_offset_exact,
     star_hull_sup,
 )
 from .concentration import (

@@ -25,7 +25,7 @@ from math import comb, isnan, log
 
 import numpy as np
 
-from .model import DiscreteDistribution, _id_array, replicate_counts
+from .model import DiscreteDistribution, _id_array, _sample_counts, replicate_counts
 
 __all__ = [
     "FiniteClassSpec",
@@ -39,18 +39,13 @@ __all__ = [
     "local_sup_stats",
     "phi_from_stats",
     "local_complexity_fixed_point",
-    "hat_matrix",
     "subset_family",
-    "sparse_offset_exact",
     "sparse_offset_values",
     "sparse_offset_bound_check",
 ]
 
 _EXACT_SIGMA_CAP = 20  # 2^20 sign patterns is the largest exhaustive mode
 _SUBSET_FAMILY_CAP = 10**6  # largest sparse subset family enumerated
-# Rank cut of hat_matrix, the dense reference of the sparse_identity check:
-# singular values at or below this times the largest count as zero.
-_RANK_REL_TOL = 1e-10
 # Rank cut of the sparse Gram factors: a column whose Cholesky residual square
 # norm is at most this times its own is dropped as dependent. The Gram squares
 # conditioning, so an exactly dependent column keeps a rounding residual near
@@ -273,8 +268,7 @@ def empirical_offset_complexity(
     s = class_spec.base.shape[1]
     if n < 1:
         raise ValueError("the sample needs at least one atom id")
-    if idx.min() < 0 or idx.max() >= s:
-        raise ValueError(f"atom ids must lie in [0, {s})")
+    counts = _sample_counts(idx, s)  # one row for every sign row
     if exact:
         if n > _EXACT_SIGMA_CAP:
             raise ValueError(f"exact sign enumeration is capped at n = {_EXACT_SIGMA_CAP}")
@@ -287,7 +281,6 @@ def empirical_offset_complexity(
     one_hot = np.eye(s)[idx]  # (n, s): row i marks atom idx[i]
     signed = signs @ one_hot  # integer sums, so exact in any order
     del signs  # the largest array here; the suprema read counts only
-    counts = one_hot.sum(axis=0, keepdims=True)  # one row for every sign row
     values = _per_draw_sups(class_spec, gamma, n, signed, counts, None)
     estimate = _mc_estimate(values, gamma, "empirical_offset")
     return replace(estimate, std_error=0.0) if exact else estimate
@@ -397,41 +390,10 @@ def local_complexity_fixed_point(
     )
 
 
-def hat_matrix(columns: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto the column space of the given matrix.
-
-    Built from an SVD basis; singular values at or below 1e-10 times the
-    largest are treated as zero (rank-revealing cut).
-    """
-    columns = np.atleast_2d(np.asarray(columns, dtype=np.float64))
-    u, sv, _ = np.linalg.svd(columns, full_matrices=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return np.zeros((columns.shape[0], columns.shape[0]))
-    basis = u[:, sv > _RANK_REL_TOL * sv[0]]
-    return basis @ basis.T
-
-
 def subset_family(d: int, k: int) -> list[tuple[int, ...]]:
     """All index subsets of {0..d-1} with size 1..k, in lexicographic order."""
     return list(itertools.chain.from_iterable(
         itertools.combinations(range(d), size) for size in range(1, k + 1)))
-
-
-def sparse_offset_exact(spec: SparseClassSpec, sigma: np.ndarray) -> float:
-    """Exact unnormalized supremum of the sparse offset functional.
-
-    Over all supports S with |S| <= k, and over all weight vectors on S, the
-    supremum of <Phi_S w, sigma> - gamma w' Phi_S' Phi_S w equals
-    sigma' H_S sigma / (4 gamma) with H_S the projector onto the columns of
-    Phi_S, that is c_S' G_S^+ c_S / (4 gamma) with c = sigma Phi and
-    G = Phi' Phi; the overall value is the max over supports. Divide by n
-    externally for the complexity normalization. Computed as the one-row case
-    of :func:`sparse_offset_values`.
-    """
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if sigma.ndim != 1:
-        raise ValueError(f"sigma must be one sign vector (1-D), got shape {sigma.shape}")
-    return float(sparse_offset_values(spec, sigma[None, :])[0])
 
 
 def _subset_factors(features: np.ndarray, k: int) -> list[tuple[np.ndarray, ...]]:
@@ -467,10 +429,14 @@ def _subset_factors(features: np.ndarray, k: int) -> list[tuple[np.ndarray, ...]
 
 
 def sparse_offset_values(spec: SparseClassSpec, sigmas: np.ndarray) -> np.ndarray:
-    """Unnormalized sparse offset suprema for a batch of sign vectors.
+    """Exact unnormalized sparse offset suprema, one per row of ``sigmas``.
 
-    Same quantity as :func:`sparse_offset_exact` per row of ``sigmas``. With
-    c = sigma Phi, a subset's c_S' G_S^+ c_S is its parent's plus one new
+    Over all supports S with |S| <= k, and over all weight vectors on S, the
+    supremum of <Phi_S w, sigma> - gamma w' Phi_S' Phi_S w equals
+    c_S' G_S^+ c_S / (4 gamma) with c = sigma Phi and G = Phi' Phi; the value
+    is the max over supports. Divide by n for the complexity normalization.
+
+    A subset's c_S' G_S^+ c_S is its parent's plus one new
     coordinate squared: O(subsets x k^2) to factor per call, then one length-d
     row of a BLAS product per subset and sign, in blocks of at most
     _FIT_CHUNK_ELEMENTS (subset, sign) values. Nothing is kept between calls.

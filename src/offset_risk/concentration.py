@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complexity import FiniteClassSpec, _std_error, star_hull_sup
-from .model import DiscreteDistribution, _atom_counts, _count_chunks, _id_array, rng_stream
+from .model import DiscreteDistribution, _count_chunks, _id_array, _sample_counts, rng_stream
 
 __all__ = [
     "MultiplierSetup",
@@ -146,10 +146,8 @@ def _sup_kernel(setup: MultiplierSetup, counts: np.ndarray, n: int) -> tuple[np.
 def multiplier_sup(setup: MultiplierSetup, atom_ids: np.ndarray) -> MultiplierSupResult:
     """Exact supremum on one sample: the one-row case of the simulate_sup_draws kernel."""
     idx = _id_array(atom_ids)
-    s = setup.joint.size
-    if idx.size and (idx.min() < 0 or idx.max() >= s):
-        raise ValueError(f"atom ids must lie in [0, {s})")
-    best, lam, value, linear, quad = _sup_kernel(setup, _atom_counts(idx[None, :], s), idx.size)
+    counts = _sample_counts(idx, setup.joint.size)
+    best, lam, value, linear, quad = _sup_kernel(setup, counts, idx.size)
     j, lam = int(best[0]), float(lam[0])
     return MultiplierSupResult(
         value=float(value[0]),

@@ -219,6 +219,8 @@ def offset_report_from_values(
     """Assemble the margin report from precomputed empirical quantities."""
     if not 0 < gamma < np.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
+    if not 0 <= epsilon < np.inf:
+        raise ValueError(f"epsilon must be nonnegative and finite, got {epsilon!r}")
     rhs = -gamma * quadratic + epsilon
     margin = rhs - risk_gap
     return OffsetReport(
@@ -246,8 +248,8 @@ def check_offset(
 
     lhs is R_n(predictor) - R_n(g); quadratic is the averaged empirical
     square norm (1/n) sum (predictor(X_i) - g(X_i))^2; g is row ``gstar_index``,
-    an integer in [0, m). A gamma outside (0, inf) is rejected by
-    :func:`offset_report_from_values`.
+    an integer in [0, m). A gamma outside (0, inf) or an epsilon outside
+    [0, inf) is rejected by :func:`offset_report_from_values`.
     """
     if (not isinstance(gstar_index, (int, np.integer)) or isinstance(gstar_index, bool)
             or not 0 <= gstar_index < dictionary.m):
@@ -339,8 +341,8 @@ def mirror_descent(
     """
     if not step > 0:
         raise ValueError(f"step must be positive, got {step!r}")
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     if mirror_map not in MIRROR_MAPS:
         raise ValueError(f"unknown mirror map {mirror_map!r}")
     to_dual, from_dual, bregman = MIRROR_MAPS[mirror_map]

@@ -198,10 +198,8 @@ class Sample:
         """
         counts = self._counts
         if counts is None or counts.shape[1] != dist.size:
-            if self.indices.min() < 0 or self.indices.max() >= dist.size:
-                raise ValueError("sample contains atom ids outside the support")
             # A copy owns its data: one array per sample, not a view and its base.
-            counts = _atom_counts(self.indices[None, :], dist.size).copy()
+            counts = _sample_counts(self.indices, dist.size).copy()
             counts.flags.writeable = False
             object.__setattr__(self, "_counts", counts)
         return counts
@@ -344,14 +342,20 @@ def _atom_ids(dist: DiscreteDistribution, u: np.ndarray) -> np.ndarray:
     return ids
 
 
-def _atom_counts(idx: np.ndarray, size: int) -> np.ndarray:
-    """(R, size) per-row counts of the (R, n) atom ids in ``idx``.
+def _sample_counts(idx: np.ndarray, size: int) -> np.ndarray:
+    """(1, size) counts of one sample's flat int64 atom ids; an id outside [0, size) raises.
 
-    One bincount over the ids offset by ``size`` per row; ids must lie in [0, size).
+    One bincount counts and checks: it rejects a negative id, and an id at
+    or past ``size`` lengthens its result, or, when far past, fails to
+    allocate it.
     """
-    rows = idx.shape[0]
-    flat = (idx + np.arange(0, rows * size, size)[:, None]).ravel()
-    return np.bincount(flat, minlength=rows * size).reshape(rows, size)
+    try:
+        counts = np.bincount(idx, minlength=size)
+    except (ValueError, MemoryError):
+        counts = None
+    if counts is None or counts.size > size:
+        raise ValueError(f"atom ids outside the support [0, {size})")
+    return counts.reshape(1, size)
 
 
 def draw_atom_ids(dist: DiscreteDistribution, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -44,8 +44,8 @@ class TestAcceptance:
         report(verify.check_offset_vs_local(CONFIG))
 
     def test_04_sparse_oracle_identity(self):
-        # 100 random (features, signs, support) triples within 1e-8 of the
-        # dense solve; projector invariants within 1e-8.
+        # 100 random (features, signs, sparsity) draws: the sparse kernel
+        # within relative 1e-8 of the largest per-support dense solve.
         report(verify.check_sparse_identity(CONFIG))
 
     def test_05_sparse_bound_shape(self):

@@ -48,6 +48,13 @@ class TestSampleCounts:
         wider = sample.counts(uniform_dist(16))
         assert same_bits(wider, np.bincount([0, 7, 11], minlength=16)[None, :])
 
+    @pytest.mark.parametrize("bad", [-1, 5, 10**15])
+    def test_id_outside_the_support_names_it(self, bad):
+        # One bincount checks: a negative id makes it raise, a larger one
+        # lengthens its result, and a far larger one fails to allocate it.
+        with pytest.raises(ValueError, match=r"outside the support \[0, 5\)"):
+            Sample(indices=[0, bad]).counts(uniform_dist(5))
+
     def test_counting_is_lazy(self):
         assert Sample(indices=[0, 2])._counts is None
 

@@ -19,14 +19,12 @@ from offset_risk.complexity import (
     FiniteClassSpec,
     SparseClassSpec,
     empirical_offset_complexity,
-    hat_matrix,
     local_complexity_fixed_point,
     local_sup_stats,
     offset_complexity_draws,
     offset_complexity_mc,
     phi_from_stats,
     sparse_offset_bound_check,
-    sparse_offset_exact,
     sparse_offset_values,
     star_hull_sup,
     subset_family,
@@ -542,6 +540,24 @@ def dense_subset_oracle(features, subset, sigma, gamma):
     return float(w @ rhs - gamma * w @ gram @ w)
 
 
+# Rank cut of hat_matrix: singular values at or below this times the largest
+# count as zero.
+_RANK_REL_TOL = 1e-10
+
+
+def hat_matrix(columns):
+    """Orthogonal projector onto the column space of the given matrix.
+
+    Built from an SVD basis, with the rank-revealing cut _RANK_REL_TOL.
+    """
+    columns = np.atleast_2d(np.asarray(columns, dtype=np.float64))
+    u, sv, _ = np.linalg.svd(columns, full_matrices=False)
+    if sv.size == 0 or sv[0] == 0.0:
+        return np.zeros((columns.shape[0], columns.shape[0]))
+    basis = u[:, sv > _RANK_REL_TOL * sv[0]]
+    return basis @ basis.T
+
+
 def loop_sparse_offset_exact(spec, sigma):
     """Per-subset projector loop: the reference for the batched sparse kernel."""
     best = 0.0
@@ -558,7 +574,7 @@ class TestSparseOffset:
         sigma = rng.choice([-1.0, 1.0], size=7)
         spec = SparseClassSpec(features=phi, k=1, gamma=0.5)
         expected = (phi[:, 0] @ sigma) ** 2 / (phi[:, 0] @ phi[:, 0]) / (4 * 0.5)
-        assert sparse_offset_exact(spec, sigma) == pytest.approx(expected, rel=1e-12)
+        assert sparse_offset_values(spec, sigma[None, :])[0] == pytest.approx(expected, rel=1e-12)
 
     def test_orthonormal_full_sparsity(self):
         rng = np.random.default_rng(15)
@@ -566,12 +582,12 @@ class TestSparseOffset:
         sigma = rng.choice([-1.0, 1.0], size=8)
         spec = SparseClassSpec(features=q, k=3, gamma=1.25)
         expected = (q.T @ sigma) @ (q.T @ sigma) / (4 * 1.25)
-        assert sparse_offset_exact(spec, sigma) == pytest.approx(expected, rel=1e-10)
+        assert sparse_offset_values(spec, sigma[None, :])[0] == pytest.approx(expected, rel=1e-10)
 
     def test_zero_matrix(self):
         spec = SparseClassSpec(features=np.zeros((5, 3)), k=2, gamma=1.0)
         sigma = np.ones(5)
-        assert sparse_offset_exact(spec, sigma) == 0.0
+        assert sparse_offset_values(spec, sigma[None, :])[0] == 0.0
         report = sparse_offset_bound_check(spec, sigma_replicates=10, seed=0)
         assert report.estimate.value == 0.0 and report.ratio == 0.0
 
@@ -586,7 +602,7 @@ class TestSparseOffset:
             oracle = max(
                 dense_subset_oracle(phi, s, sigma, gamma) for s in subset_family(d, k)
             )
-            assert sparse_offset_exact(spec, sigma) == pytest.approx(oracle, abs=1e-8)
+            assert sparse_offset_values(spec, sigma[None, :])[0] == pytest.approx(oracle, abs=1e-8)
 
     def test_batched_values_match_single_sigma_path(self):
         rng = np.random.default_rng(17)
@@ -594,7 +610,7 @@ class TestSparseOffset:
         spec = SparseClassSpec(features=phi, k=2, gamma=0.7)
         sigmas = rng.choice([-1.0, 1.0], size=(6, 8))
         batched = sparse_offset_values(spec, sigmas)
-        singles = np.array([sparse_offset_exact(spec, s) for s in sigmas])
+        singles = np.array([sparse_offset_values(spec, s[None, :])[0] for s in sigmas])
         looped = np.array([loop_sparse_offset_exact(spec, s) for s in sigmas])
         np.testing.assert_allclose(singles, batched, rtol=1e-13)
         np.testing.assert_allclose(batched, looped, atol=1e-10)
@@ -608,7 +624,7 @@ class TestSparseOffset:
         spec = SparseClassSpec(features=phi, k=2, gamma=0.8)
         sigmas = rng.choice([-1.0, 1.0], size=(5, 8))
         batched = sparse_offset_values(spec, sigmas)
-        singles = np.array([sparse_offset_exact(spec, s) for s in sigmas])
+        singles = np.array([sparse_offset_values(spec, s[None, :])[0] for s in sigmas])
         looped = np.array([loop_sparse_offset_exact(spec, s) for s in sigmas])
         np.testing.assert_allclose(singles, batched, rtol=1e-13)
         np.testing.assert_allclose(batched, looped, atol=1e-10)
@@ -617,8 +633,8 @@ class TestSparseOffset:
         rng = np.random.default_rng(18)
         phi = rng.normal(size=(6, 4))
         sigma = rng.choice([-1.0, 1.0], size=6)
-        v1 = sparse_offset_exact(SparseClassSpec(features=phi, k=2, gamma=1.0), sigma)
-        v2 = sparse_offset_exact(SparseClassSpec(features=phi, k=2, gamma=2.0), sigma)
+        v1 = sparse_offset_values(SparseClassSpec(features=phi, k=2, gamma=1.0), sigma[None, :])[0]
+        v2 = sparse_offset_values(SparseClassSpec(features=phi, k=2, gamma=2.0), sigma[None, :])[0]
         assert v2 == pytest.approx(0.5 * v1, rel=1e-12)
 
     def test_exact_matches_projector_loop_with_collinear_columns(self):
@@ -628,7 +644,7 @@ class TestSparseOffset:
         for k in (1, 2, 3):
             spec = SparseClassSpec(features=phi, k=k, gamma=0.6)
             for sigma in rng.choice([-1.0, 1.0], size=(4, 9)):
-                assert sparse_offset_exact(spec, sigma) == pytest.approx(
+                assert sparse_offset_values(spec, sigma[None, :])[0] == pytest.approx(
                     loop_sparse_offset_exact(spec, sigma), rel=1e-12
                 )
 
@@ -715,14 +731,12 @@ _STATS = (np.array([[0.5, -0.25], [0.1, 0.3]]), np.array([0.5, 0.2]))
     # a matmul gufunc error
     (lambda: sparse_offset_values(_sparse_spec(), np.ones((2, 5))), "one entry per feature row"),
     (lambda: sparse_offset_values(_sparse_spec(), np.ones(7)), "one entry per feature row"),
-    (lambda: sparse_offset_exact(_sparse_spec(), np.ones(5)), "one entry per feature row"),
-    # six entries, so a ravel would pass it as one sign vector
-    (lambda: sparse_offset_exact(_sparse_spec(), np.ones((2, 3))), "one sign vector"),
+    (lambda: sparse_offset_values(_sparse_spec(), np.ones(5)), "one entry per feature row"),
     # a silent NaN curve
     (lambda: phi_from_stats(*_STATS, 0.5, float("nan")), "r must be a number"),
     (lambda: phi_from_stats(*_STATS, 0.5, np.float64("nan")), "r must be a number"),
 ], ids=["empty-sample", "empty-sample-exact", "sigma-rows-narrow", "sigma-wide",
-        "exact-sigma-narrow", "exact-sigma-2d", "nan-radius", "nan-radius-numpy"])
+        "sigma-narrow", "nan-radius", "nan-radius-numpy"])
 def test_readable_input_errors(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -741,7 +755,7 @@ class TestSubsetGramFactors:
         got = sparse_offset_values(spec, sigmas)
         looped = np.array([loop_sparse_offset_exact(spec, s) for s in sigmas[:6]])
         np.testing.assert_allclose(got[:6], looped, rtol=1e-12, atol=0.0)
-        singles = np.array([sparse_offset_exact(spec, s) for s in sigmas])
+        singles = np.array([sparse_offset_values(spec, s[None, :])[0] for s in sigmas])
         np.testing.assert_allclose(got, singles, rtol=1e-13, atol=0.0)
 
     def test_block_case_crosses_a_block_boundary(self):

@@ -78,7 +78,7 @@ class TestMultiplierSup:
         # and the error names the support size.
         setup = make_setup([1.0, -1.0], [0.5, 0.5], np.ones((1, 2)), gamma=0.5)
         for check in (multiplier_sup, self_localization_check):
-            with pytest.raises(ValueError, match=r"atom ids must lie in \[0, 2\)"):
+            with pytest.raises(ValueError, match=r"atom ids outside the support \[0, 2\)"):
                 check(setup, bad)
 
     @pytest.mark.parametrize("check", [multiplier_sup, self_localization_check])

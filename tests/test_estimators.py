@@ -22,7 +22,6 @@ from offset_risk.model import (
     Dictionary,
     PredictorWeights,
     Sample,
-    _atom_counts,
     draw_sample,
     predict_all,
     replicate_counts,
@@ -331,6 +330,20 @@ class TestCheckOffset:
         with pytest.raises(ValueError, match="gamma must be positive and finite"):
             offset_report_from_values(0.0, 1.0, gamma, 0.0)
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -1e-3])
+    def test_non_finite_or_negative_epsilon_rejected(self, epsilon):
+        # NaN used to report margin=nan, holds=False, and inf to hold vacuously.
+        dist, dictionary = random_instance(np.random.default_rng(12))
+        sample = draw_sample(dist, 5, seed=0)
+        w = PredictorWeights(weights=np.eye(dictionary.m)[0])
+        with pytest.raises(ValueError, match="epsilon must be nonnegative and finite"):
+            check_offset(sample, dist, LOSS, dictionary, w, 0, gamma=1.0, epsilon=epsilon)
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -1e-3])
+    def test_report_from_values_rejects_bad_epsilon(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be nonnegative and finite"):
+            offset_report_from_values(0.0, 1.0, 1.0, epsilon)
+
 
 class TestOffsetBernsteinDuality:
     def test_margins_match_through_empirical_measure(self):
@@ -413,8 +426,8 @@ class TestFitRows:
                                                  ("midpoint", LOSS)])
     def test_each_row_equals_the_one_row_fit(self, estimator, loss):
         for dist, dictionary, idx in _fit_cases():
-            e, p, weights, near = _fit_rows(_atom_counts(idx, dist.size), dist, loss,
-                                            dictionary, estimator, 0.1, 4.0)
+            counts = (idx[:, :, None] == np.arange(dist.size)).sum(axis=1)
+            e, p, weights, near = _fit_rows(counts, dist, loss, dictionary, estimator, 0.1, 4.0)
             for r, row in enumerate(idx):
                 sample = Sample(indices=row)
                 if estimator == "erm":

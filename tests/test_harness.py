@@ -307,20 +307,23 @@ class TestRunVerify:
         seed, key_tag, index = key = result.detail["worst_key"]
         assert (seed, key_tag) == (0, tag) and isinstance(index, int)
         row = np.atleast_1d(evaluate(cfg, rng_stream(*key), index))
-        if check_id == "sparse_identity":
-            # The margin is set by the larger of the two deviations; at seed 0
-            # that is a projector invariant, in another draw than the statistic.
-            detail = result.detail
-            assert max(row) == max(detail["max_oracle_dev"], detail["max_invariant_dev"])
-        else:
-            assert row[0] == result.statistic
+        assert row[0] == result.statistic
         # No earlier instance sets it: the key names the first one.
         for earlier in range(index):
             other = np.atleast_1d(evaluate(cfg, rng_stream(seed, tag, earlier), earlier))
-            if check_id == "star_offset":
-                assert other[0] > row[0]
-            else:
-                assert max(other) < max(row)
+            assert other[0] > row[0] if check_id == "star_offset" else other[0] < row[0]
+
+    def test_perturbed_sparse_kernel_fails_sparse_identity(self, monkeypatch):
+        # A relative error of 1e-6 in the production kernel is caught, and
+        # the worst key replays the same perturbed draw to the statistic.
+        original = verify.sparse_offset_values
+        monkeypatch.setattr(verify, "sparse_offset_values",
+                            lambda spec, sigmas: original(spec, sigmas) * (1.0 + 1e-6))
+        cfg = ExperimentConfig(command="verify", seed=0)
+        result = verify.check_sparse_identity(cfg)
+        assert not result.passed and result.statistic > 1e-8 and result.margin < 0
+        key = result.detail["worst_key"]
+        assert verify._sparse_identity_row(cfg, rng_stream(*key), key[2]) == result.statistic
 
     def test_sparse_worst_cell_sets_the_max_ratio(self):
         cfg = ExperimentConfig(command="verify", seed=0)

@@ -123,6 +123,13 @@ class TestValidationAndFailure:
         with pytest.raises(ValueError, match=f"{name} must be positive"):
             mirror_descent(sample, dist, LOSS, [0.0], [1.0], **kwargs)
 
+    @pytest.mark.parametrize("epsilon", [float("inf"), 0.0, -0.1])
+    def test_infinite_or_nonpositive_epsilon_rejected(self, epsilon):
+        # An infinite epsilon used to stop at t = 0 whatever the gap.
+        dist, sample = scalar_instance()
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            mirror_descent(sample, dist, LOSS, [0.0], [1.0], epsilon=epsilon, step=1e-3)
+
     def test_unknown_map_rejected(self):
         dist, sample = scalar_instance()
         with pytest.raises(ValueError, match="mirror map"):
