@@ -278,7 +278,8 @@ def empirical_offset_complexity(
             raise ValueError("need at least one sign replicate outside exact mode")
         _, signs = replicate_counts(seed, "empirical-offset-sigma", sigma_replicates, n,
                                     signs=True)
-    one_hot = np.eye(s)[idx]  # (n, s): row i marks atom idx[i]
+    one_hot = np.zeros((n, s))  # row i marks atom idx[i]
+    one_hot[np.arange(n), idx] = 1.0
     signed = signs @ one_hot  # integer sums, so exact in any order
     del signs  # the largest array here; the suprema read counts only
     values = _per_draw_sups(class_spec, gamma, n, signed, counts, None)
@@ -406,12 +407,11 @@ def _subset_factors(features: np.ndarray, k: int) -> list[tuple[np.ndarray, ...]
     d = features.shape[1]
     gram = features.T @ features
     diag = gram.diagonal()
-    family = iter(subset_family(d, k))
     levels, last, inverse = [], np.array([-1]), np.zeros((1, 0, 0))
     for size in range(1, k + 1):
-        count = comb(d, size)
-        members = np.fromiter(itertools.chain.from_iterable(itertools.islice(family, count)),
-                              dtype=np.intp, count=count * size).reshape(count, size)
+        count = comb(d, size)  # the size's slice of subset_family(d, k)
+        subsets = itertools.chain.from_iterable(itertools.combinations(range(d), size))
+        members = np.fromiter(subsets, dtype=np.intp, count=count * size).reshape(count, size)
         # The children of each parent are contiguous: it plus every later column.
         parent = np.repeat(np.arange(last.size), d - 1 - last)
         prior = inverse[parent]  # (M, size - 1, size - 1)

@@ -59,7 +59,11 @@ class MultiplierSetup:
     never asserted: ``kappa`` is the largest |h| over positive-probability
     atoms, ``multiplier_bound`` the largest |zeta| there, and
 
-        eta = 8 * (multiplier_bound^2 / gamma + gamma * kappa^2).
+        eta = 8 * (multiplier_bound^2 / gamma + gamma * kappa^2),
+
+    which must be positive: a setup whose multipliers and class both vanish
+    on the live atoms (or are so small that eta underflows) is rejected with
+    a ``ValueError``.
 
     The multiplier is a function of the atom, so every sum over a sample is
     its atom counts times one read-only table ``[zeta * h; h^2]`` of shape
@@ -88,6 +92,10 @@ class MultiplierSetup:
         kappa = float(np.max(np.abs(self.class_spec.base[:, live])))
         mult = float(np.max(np.abs(self.joint.ys[live])))
         eta = 8.0 * (mult**2 / self.gamma + self.gamma * kappa**2)
+        if not eta > 0:
+            raise ValueError("eta = 0: the multipliers and the class vanish (or their squares "
+                             "underflow) on every positive-probability atom, so the MGF grid "
+                             "is undefined")
         table = np.vstack([self.class_spec.base * self.zeta, self.class_spec._base_sq])
         table_mean = table @ self.joint.probs
         table.flags.writeable = table_mean.flags.writeable = False

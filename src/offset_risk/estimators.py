@@ -234,6 +234,13 @@ def offset_report_from_values(
     )
 
 
+def _offset_terms(weights, pred, loss, ys, refs):
+    """(R_n(f) - R_n(g), |f - g|_n^2): floats for one (s,) row ``refs``, (r,) arrays for (r, s)."""
+    gap = (loss.eval(pred, ys) - loss.eval(refs, ys)) @ weights
+    quadratic = (pred - refs) ** 2 @ weights
+    return (float(gap), float(quadratic)) if refs.ndim == 1 else (gap, quadratic)
+
+
 def check_offset(
     sample: Sample,
     dist: DiscreteDistribution,
@@ -257,12 +264,9 @@ def check_offset(
             f"gstar_index must be an integer in [0, {dictionary.m}), got {gstar_index!r}"
         )
     dictionary.validate_for(dist)
-    w = sample.counts(dist)[0] / sample.n
-    pred = predict_all(dictionary, predictor)
-    g = dictionary.values[gstar_index]
-    risk_gap = float(w @ (loss.eval(pred, dist.ys) - loss.eval(g, dist.ys)))
-    quadratic = float(w @ (pred - g) ** 2)
-    return offset_report_from_values(risk_gap, quadratic, gamma, epsilon)
+    return offset_report_from_values(*_offset_terms(
+        sample.counts(dist)[0] / sample.n, predict_all(dictionary, predictor), loss, dist.ys,
+        dictionary.values[gstar_index]), gamma, epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +356,8 @@ def mirror_descent(
     w0 = np.array(w0, dtype=np.float64).ravel()  # a copy: the path keeps it
     if w_star.shape != w0.shape or w_star.shape[0] != xs.shape[1]:
         raise ValueError("w_star and w0 must match the feature dimension")
+    if not (np.isfinite(w_star).all() and np.isfinite(w0).all()):
+        raise ValueError("w_star and w0 must be finite")
     if mirror_map == "negative_entropy":
         if np.any(w0 <= 0):
             raise ValueError("negative-entropy map requires strictly positive w0")

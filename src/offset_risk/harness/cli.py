@@ -5,7 +5,7 @@ Commands
 aggregate      excess-risk rate study over the sample-size grid
 complexity     offset / localized complexity estimates for the instance class
 concentration  multiplier-process MGF and tail verification; exit code 1 on
-               any MGF violation or tail failure
+               any MGF violation or tail failure, 2 on a degenerate setup
 mirror         early-stopped mirror descent trace on the instance features;
                exit code 1 when the stopping time t* is not reached
 verify         full verification suite; exit code 0 iff every check passes
@@ -154,7 +154,11 @@ def _cmd_complexity(config: ExperimentConfig, out: Path, formats: list[str]) -> 
 def _cmd_concentration(config: ExperimentConfig, out: Path, formats: list[str]) -> int:
     dist, _, ref, spec = _instance_class(config)
     gamma = config.gamma if config.gamma is not None else 0.5
-    setup = MultiplierSetup(joint=dist, class_spec=spec, gamma=gamma)
+    try:
+        setup = MultiplierSetup(joint=dist, class_spec=spec, gamma=gamma)
+    except ValueError as err:  # a degenerate instance: eta = 0
+        print(f"config error: {err}", file=sys.stderr)
+        return 2
     n = config.n_grid[0]
     replicates = max(config.replicates, 1000)
     report = mgf_verify(setup, n=n, replicates=replicates, seed=config.seed)

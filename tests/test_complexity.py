@@ -143,6 +143,14 @@ class TestCountsMatchTheGather:
     def test_multiplier_sums_match_the_gather(self, case):
         dist, spec, plan = case
         n, reps = plan["n"], plan["replicates"]
+        live, gamma = dist.probs > 0, plan["gamma"]
+        kappa, mult = np.abs(spec.base[:, live]).max(), np.abs(dist.ys[live]).max()
+        if mult**2 / gamma + gamma * kappa**2 == 0:
+            # Multipliers and class vanish (or their squares underflow) on the
+            # live atoms: eta = 0 is rejected.
+            with pytest.raises(ValueError, match="eta = 0"):
+                MultiplierSetup(joint=dist, class_spec=spec, gamma=plan["gamma"])
+            return
         setup = MultiplierSetup(joint=dist, class_spec=spec, gamma=plan["gamma"])
         idx, _ = loop_draws(plan["seed"], "multiplier-sample", reps, n, dist, signs=False)
         cross, quad_emp = gather_moments(spec.base, idx, setup.zeta[idx])
@@ -412,6 +420,22 @@ class TestEmpiricalOffsetComplexity:
         spec = FiniteClassSpec(base=np.random.default_rng(5).uniform(-1, 1, size=(2, 3)))
         with pytest.raises(ValueError, match="atom ids must be integers"):
             empirical_offset_complexity(ids, spec, 0.5, 10, seed=0, exact=exact)
+
+    def test_one_hot_table_is_linear_in_the_support(self):
+        # An (s, s) identity gathered to (n, s) peaked at 30.7 MiB here, and
+        # grew as s^2; the (n, s) table itself is 160 kB.
+        spec = FiniteClassSpec(base=np.random.default_rng(6).uniform(-1, 1, size=(3, 2000)))
+        sample_x = np.arange(0, 2000, 200)
+        tracemalloc.start()
+        try:
+            est = empirical_offset_complexity(sample_x, spec, 0.5, 10, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        sub = FiniteClassSpec(base=spec.base[:, sample_x])  # the same draws on the 10 atoms
+        assert est.value == pytest.approx(
+            empirical_offset_complexity(np.arange(10), sub, 0.5, 10, seed=0).value, rel=1e-12)
 
     def test_exact_mode_cap(self):
         spec = FiniteClassSpec(base=np.ones((1, 2)))
@@ -830,23 +854,34 @@ class TestSubsetGramFactors:
         assert peak < 32 * 2**20
 
     @pytest.fixture
-    def builds(self, monkeypatch):
+    def enumerations(self, monkeypatch):
+        """(d, size) of every ``itertools.combinations(range(d), size)`` the module makes."""
         calls = []
-        original = complexity.subset_family
 
-        def counting(d, k):
-            calls.append((d, k))
-            return original(d, k)
+        class CountingItertools:
+            def __getattr__(self, name):
+                return getattr(itertools, name)
 
-        monkeypatch.setattr(complexity, "subset_family", counting)
+            def combinations(self, pool, size):
+                calls.append((len(pool), size))
+                return itertools.combinations(pool, size)
+
+        monkeypatch.setattr(complexity, "itertools", CountingItertools())
         return calls
 
-    def test_each_call_enumerates_the_family_once(self, builds):
+    def test_each_call_enumerates_the_family_once(self, enumerations):
+        # One pass over the subsets of each size 1..k per call, and nothing kept.
         phi = np.random.default_rng(37).normal(size=(6, 4))
         sigmas = np.ones((2, 6))
         for k in (1, 2, 2, 3):
             sparse_offset_values(SparseClassSpec(features=phi, k=k, gamma=1.0), sigmas)
-        assert builds == [(4, 1), (4, 2), (4, 2), (4, 3)]
+        assert enumerations == [(4, 1), (4, 1), (4, 2), (4, 1), (4, 2), (4, 1), (4, 2), (4, 3)]
+
+    @pytest.mark.parametrize("d, k", [(1, 1), (5, 3), (7, 7), (12, 2)])
+    def test_members_are_the_family_in_order(self, d, k):
+        levels = complexity._subset_factors(np.random.default_rng(d).normal(size=(9, d)), k)
+        members = [tuple(row) for level in levels for row in level[0].tolist()]
+        assert members == subset_family(d, k)
 
     def test_values_follow_in_place_edit_of_features(self):
         rng = np.random.default_rng(33)

@@ -101,6 +101,14 @@ class TestMultiplierSup:
         assert setup.multiplier_bound == 1.5
         assert setup.eta == pytest.approx(8 * (1.5**2 / 0.4 + 0.4 * 0.25), rel=1e-12)
 
+    def test_degenerate_setup_rejected(self):
+        # Zero multipliers and a zero class on the live atoms give eta = 0,
+        # and mgf_verify's lambda grid used to divide by it. A nonzero value
+        # on a zero-probability atom does not count.
+        with pytest.raises(ValueError, match="eta = 0"):
+            make_setup([0.0, 0.0, 2.0], [0.5, 0.5, 0.0], np.array([[0.0, 0.0, 1.0]]), gamma=0.5)
+        assert make_setup([0.0, 1e-3], [0.5, 0.5], np.zeros((1, 2)), gamma=0.5).eta > 0
+
     @pytest.mark.parametrize("field", ["kappa", "multiplier_bound", "eta"])
     def test_scale_constants_are_not_constructor_arguments(self, field):
         setup = make_setup([1.0, -1.0], [0.5, 0.5], np.array([[0.5, -0.25]]), gamma=0.4)

@@ -8,6 +8,7 @@ import pytest
 from offset_risk.complexity import _lowest_best
 from offset_risk.estimators import (
     _fit_rows,
+    _offset_terms,
     check_offset,
     erm,
     midpoint,
@@ -343,6 +344,57 @@ class TestCheckOffset:
     def test_report_from_values_rejects_bad_epsilon(self, epsilon):
         with pytest.raises(ValueError, match="epsilon must be nonnegative and finite"):
             offset_report_from_values(0.0, 1.0, 1.0, epsilon)
+
+
+def parent_offset_terms(sample, dist, loss, dictionary, predictor, g):
+    """check_offset's terms as one expression per row, as written before ``_offset_terms``."""
+    w = sample.counts(dist)[0] / sample.n
+    pred = predict_all(dictionary, predictor)
+    ref = dictionary.values[g]
+    return (float(w @ (loss.eval(pred, dist.ys) - loss.eval(ref, dist.ys))),
+            float(w @ (pred - ref) ** 2))
+
+
+class TestOffsetTerms:
+    def random_fits(self, seed, count):
+        """(sample, dist, dictionary, weights) of star, ERM and random mixtures."""
+        rng = np.random.default_rng(seed)
+        for trial in range(count):
+            dist, dictionary = random_instance(rng)
+            sample = draw_sample(dist, int(rng.integers(1, 40)), seed=seed + trial)
+            fits = [star(sample, dist, LOSS, dictionary).weights,
+                    PredictorWeights(weights=np.eye(dictionary.m)[erm(sample, dist, LOSS,
+                                                                       dictionary)]),
+                    PredictorWeights(weights=rng.dirichlet(np.ones(dictionary.m)))]
+            for w in fits:
+                yield sample, dist, dictionary, w
+
+    def test_check_offset_is_bit_for_bit_the_per_row_expression(self):
+        for sample, dist, dictionary, w in self.random_fits(70, 100):
+            gamma = 1.0 / 18.0
+            for g in range(dictionary.m):
+                report = check_offset(sample, dist, LOSS, dictionary, w, g, gamma)
+                lhs, quadratic = parent_offset_terms(sample, dist, LOSS, dictionary, w, g)
+                assert (report.lhs, report.quadratic) == (lhs, quadratic)
+                assert report.margin == (-gamma * quadratic + 0.0) - lhs
+
+    def test_stack_matches_per_row_check_offset(self):
+        for sample, dist, dictionary, w in self.random_fits(71, 100):
+            gap, quadratic = _offset_terms(sample.counts(dist)[0] / sample.n,
+                                           predict_all(dictionary, w), LOSS, dist.ys,
+                                           dictionary.values)
+            assert gap.shape == quadratic.shape == (dictionary.m,)
+            reports = [check_offset(sample, dist, LOSS, dictionary, w, g, 0.5)
+                       for g in range(dictionary.m)]
+            np.testing.assert_allclose(gap, [r.lhs for r in reports], rtol=0, atol=1e-15)
+            np.testing.assert_allclose(quadratic, [r.quadratic for r in reports],
+                                       rtol=0, atol=1e-15)
+
+    def test_one_row_gives_floats(self):
+        sample, dist, dictionary, w = next(self.random_fits(72, 1))
+        terms = _offset_terms(sample.counts(dist)[0] / sample.n, predict_all(dictionary, w),
+                              LOSS, dist.ys, dictionary.values[0])
+        assert all(type(t) is float for t in terms)
 
 
 class TestOffsetBernsteinDuality:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,14 +10,16 @@ import sys
 import numpy as np
 import pytest
 
+from offset_risk import concentration
 from offset_risk.complexity import SparseClassSpec, sparse_offset_bound_check
 from offset_risk.harness import cli, verify
 from offset_risk.harness.aggregate import fit_rate, run_aggregate
 from offset_risk.harness.config import ExperimentConfig, config_hash
 from offset_risk.harness.outputs import read_csv, write_csv, write_json, write_svg
 from offset_risk.harness.verify import run_verify
-from offset_risk.instances import rate_study_instance
-from offset_risk.model import Dictionary, rng_stream
+from offset_risk.estimators import check_offset, star
+from offset_risk.instances import random_instance, rate_study_instance
+from offset_risk.model import Dictionary, Sample, draw_atom_ids, rng_stream
 
 
 class TestConfig:
@@ -325,6 +328,48 @@ class TestRunVerify:
         key = result.detail["worst_key"]
         assert verify._sparse_identity_row(cfg, rng_stream(*key), key[2]) == result.statistic
 
+    def test_star_offset_margins_are_check_offset_margins(self):
+        # Margins formed as (-gamma * quad + 0.0) - gap, as the report forms
+        # them: -gamma * quad - gap would write the seed-0 statistic as -0.0.
+        cfg = ExperimentConfig(command="verify", seed=0)
+        result = verify.check_star_offset(cfg)
+        assert result.statistic == 0.0 and math.copysign(1.0, result.statistic) == 1.0
+        rng = rng_stream(*result.detail["worst_key"])
+        dist, dictionary = random_instance(rng, max_atoms=12, max_m=10, b=1.0)
+        sample = Sample(indices=draw_atom_ids(dist, int(rng.integers(2, 51)), rng))
+        sol = star(sample, dist, verify._LOSS, dictionary)
+        margins = [check_offset(sample, dist, verify._LOSS, dictionary, sol.weights, g,
+                                gamma=1.0 / 18.0).margin for g in range(dictionary.m)]
+        assert min(margins) == pytest.approx(result.statistic, abs=1e-15)
+
+    def test_mgf_and_tail_checks_simulate_each_setup_once(self, monkeypatch):
+        calls = []
+        real_chunks = concentration._count_chunks
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real_chunks(*args, **kwargs)
+
+        monkeypatch.setattr(concentration, "_count_chunks", spy)
+        verify._multiplier_rows.cache_clear()
+        cfg = ExperimentConfig(command="verify", seed=0)
+        assert verify.check_mgf_bound(cfg).passed and len(calls) == 10
+        assert verify.check_tail_bound(cfg).passed and len(calls) == 10
+        assert sorted(args[0] for args in calls) == [997 * i for i in range(10)]
+
+    @pytest.mark.parametrize("check_id, column", [("mgf_bound", 2), ("tail_bound", 3)])
+    def test_multiplier_worst_key_replays_to_the_statistic(self, check_id, column):
+        cfg = ExperimentConfig(command="verify", seed=0)
+        result = getattr(verify, f"check_{check_id}")(cfg)
+        seed, tag, index = key = result.detail["worst_key"]
+        assert (seed, tag) == (0, "verify-mgf-setups")
+        row = verify._multiplier_row(cfg, rng_stream(*key), index)
+        # mgf_bound's statistic is the violation count; its margin is minus
+        # the worst CI excess, which the key's row sets.
+        expected = -result.margin if check_id == "mgf_bound" else result.statistic
+        assert row[column] == expected
+        assert (row[0] == 0) if check_id == "mgf_bound" else row[4]  # no violation, tail holds
+
     def test_sparse_worst_cell_sets_the_max_ratio(self):
         cfg = ExperimentConfig(command="verify", seed=0)
         detail = verify.check_sparse_shape(cfg).detail
@@ -517,6 +562,20 @@ class TestCli:
         )
         assert cli.main(argv) == 1
         assert "[VIOLATIONS]" in capsys.readouterr().out
+
+    def test_degenerate_concentration_setup_exits_2(self, tmp_path, capsys):
+        # One dictionary row makes the recentered class zero, and the zero
+        # responses make the multipliers zero: eta = 0. This used to end in a
+        # ZeroDivisionError traceback with exit code 1, read as [VIOLATIONS].
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n_grid": [8], "instance": {
+            "atoms": [{"x": [0.0], "y": 0.0}, {"x": [1.0], "y": 0.0}],
+            "probs": [0.5, 0.5], "b": 1.0, "dictionary": [[0.2, 0.3]]}}))
+        out = tmp_path / "out"
+        assert cli.main(["concentration", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "eta = 0" in err
+        assert not out.exists()
 
     def test_mirror_exit_codes(self, tmp_path, monkeypatch, capsys):
         argv = ["mirror", "--seed", "3", "--out", str(tmp_path)]

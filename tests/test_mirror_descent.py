@@ -130,6 +130,20 @@ class TestValidationAndFailure:
         with pytest.raises(ValueError, match="epsilon must be positive and finite"):
             mirror_descent(sample, dist, LOSS, [0.0], [1.0], epsilon=epsilon, step=1e-3)
 
+    @pytest.mark.parametrize("mirror_map", ["euclidean", "negative_entropy"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["w_star", "w0"])
+    def test_non_finite_points_rejected(self, name, value, mirror_map):
+        # A NaN w0 used to return a 0-step trace with t* = None ("not
+        # reached"), and an infinite one to warn from the first product.
+        dist = DiscreteDistribution(xs=[[1.0, 0.5], [0.2, 1.0]], ys=[0.3, -0.2],
+                                    probs=[0.5, 0.5], b=1.0)
+        points = {"w_star": np.array([0.2, 0.4]), "w0": np.array([0.5, 0.5])}
+        points[name][1] = value
+        with pytest.raises(ValueError, match="w_star and w0 must be finite"):
+            mirror_descent(Sample(indices=[0, 1]), dist, LOSS, points["w_star"], points["w0"],
+                           mirror_map=mirror_map, epsilon=0.1, step=1e-3)
+
     def test_unknown_map_rejected(self):
         dist, sample = scalar_instance()
         with pytest.raises(ValueError, match="mirror map"):

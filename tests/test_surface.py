@@ -4,6 +4,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -66,3 +67,18 @@ def test_benchmark_workloads_read_existing_names():
     }
     missing = sorted(f"{name}.{attr}" for name, attr in reads if not hasattr(modules[name], attr))
     assert reads and not missing, f"perfbench/workloads.py reads missing names: {missing}"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), flags=re.S | re.M)
+
+
+def test_readme_has_python_examples():
+    assert len(README_BLOCKS) >= 2
+
+
+@pytest.mark.parametrize("block", README_BLOCKS,
+                         ids=[f"block{i}" for i in range(len(README_BLOCKS))])
+def test_readme_python_example_runs(block):
+    # A renamed evaluator or API name then fails here, not for a reader.
+    exec(compile(block, str(README), "exec"), {"__name__": "readme_example"})
