@@ -20,8 +20,8 @@ per-draw inequalities.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from math import comb, isnan, log
+from dataclasses import dataclass, field
+from math import comb, isnan, log, prod
 
 import numpy as np
 
@@ -44,7 +44,7 @@ __all__ = [
     "sparse_offset_bound_check",
 ]
 
-_EXACT_SIGMA_CAP = 20  # 2^20 sign patterns is the largest exhaustive mode
+_EXACT_ROW_CAP = 2**20  # largest exact law of per-atom sign sums
 _SUBSET_FAMILY_CAP = 10**6  # largest sparse subset family enumerated
 # Rank cut of the sparse Gram factors: a column whose Cholesky residual square
 # norm is at most this times its own is dropped as dependent. The Gram squares
@@ -242,12 +242,6 @@ def offset_complexity_mc(
     return _mc_estimate(vals, gamma, "offset")
 
 
-def _exact_sign_patterns(n: int) -> np.ndarray:
-    """All 2^n sign rows: entry (r, i) is +1 where bit i of r is set, else -1."""
-    bits = np.arange(2**n, dtype=np.uint32)[:, None] >> np.arange(n, dtype=np.uint32)
-    return (bits & 1) * 2.0 - 1.0
-
-
 def empirical_offset_complexity(
     sample_x: np.ndarray,
     class_spec: FiniteClassSpec,
@@ -258,33 +252,39 @@ def empirical_offset_complexity(
 ) -> ComplexityEstimate:
     """Offset complexity conditional on a fixed X-sample (no population term).
 
-    ``sample_x`` holds atom ids into the class value tables. In exact mode
-    all 2^n sign patterns are enumerated (n <= 20) and std_error is 0.
+    ``sample_x`` holds atom ids into the class value tables. Exact mode sums
+    over the prod(c_a + 1) outcomes of the atoms' sign sums, 2 Binomial(c_a,
+    1/2) - c_a for an atom drawn c_a times (at most 2^20 rows); std_error is 0.
     """
     if not 0 <= gamma < np.inf:
         raise ValueError(f"gamma must be nonnegative and finite, got {gamma!r}")
     idx = _id_array(sample_x)
-    n = idx.size
-    s = class_spec.base.shape[1]
+    n, s = idx.size, class_spec.base.shape[1]
     if n < 1:
         raise ValueError("the sample needs at least one atom id")
     counts = _sample_counts(idx, s)  # one row for every sign row
     if exact:
-        if n > _EXACT_SIGMA_CAP:
-            raise ValueError(f"exact sign enumeration is capped at n = {_EXACT_SIGMA_CAP}")
-        signs = _exact_sign_patterns(n)  # (2^n, n)
-    else:
-        if sigma_replicates < 1:
-            raise ValueError("need at least one sign replicate outside exact mode")
-        _, signs = replicate_counts(seed, "empirical-offset-sigma", sigma_replicates, n,
-                                    signs=True)
-    one_hot = np.zeros((n, s))  # row i marks atom idx[i]
-    one_hot[np.arange(n), idx] = 1.0
-    signed = signs @ one_hot  # integer sums, so exact in any order
+        hit = np.flatnonzero(counts[0])
+        c = counts[0, hit]
+        rows = prod((c + 1).tolist())  # Python ints: an int64 product can wrap
+        if rows > _EXACT_ROW_CAP:
+            raise ValueError(f"the exact law has {rows} rows of sign sums, above {_EXACT_ROW_CAP}")
+        log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, c.max() + 1)))])
+        log_w = np.full(1, -n * log(2.0))  # log pmfs, summed over the rows' grid
+        for a in c.tolist():
+            log_w = np.add.outer(log_w, log_fact[a] - log_fact[: a + 1] - log_fact[a::-1]).ravel()
+        heads = np.indices(c + 1).reshape(c.size, rows).T  # (rows, hits), in log_w's order
+        values = _per_draw_sups(FiniteClassSpec(base=class_spec.base[:, hit]), gamma, n,
+                                2.0 * heads - c, c[None, :], None)
+        return ComplexityEstimate(float(np.exp(log_w) @ values), 0.0, rows, gamma,
+                                  "empirical_offset")
+    if sigma_replicates < 1:
+        raise ValueError("need at least one sign replicate outside exact mode")
+    _, signs = replicate_counts(seed, "empirical-offset-sigma", sigma_replicates, n, signs=True)
+    signed = signs @ (idx[:, None] == np.arange(s))  # integer sums, so exact in any order
     del signs  # the largest array here; the suprema read counts only
     values = _per_draw_sups(class_spec, gamma, n, signed, counts, None)
-    estimate = _mc_estimate(values, gamma, "empirical_offset")
-    return replace(estimate, std_error=0.0) if exact else estimate
+    return _mc_estimate(values, gamma, "empirical_offset")
 
 
 def local_sup_stats(

@@ -7,7 +7,8 @@ complexity     offset / localized complexity estimates for the instance class
 concentration  multiplier-process MGF and tail verification; exit code 1 on
                any MGF violation or tail failure, 2 on a degenerate setup
 mirror         early-stopped mirror descent trace on the instance features;
-               exit code 1 when the stopping time t* is not reached
+               exit code 1 when the stopping time t* is not reached, a
+               diverging run included
 verify         full verification suite; exit code 0 iff every check passes
 
 All outputs embed the config hash and master seed.
@@ -25,7 +26,7 @@ import numpy as np
 
 from ..complexity import FiniteClassSpec, local_complexity_fixed_point, offset_complexity_mc
 from ..concentration import MultiplierSetup, mgf_verify, tail_verify
-from ..estimators import mirror_descent
+from ..estimators import DivergenceError, mirror_descent
 from ..model import Sample, squared_loss
 from ..risk import population_minimizer
 from .aggregate import run_aggregate
@@ -215,10 +216,14 @@ def _cmd_mirror(config: ExperimentConfig, out: Path, formats: list[str]) -> int:
         w_star = np.abs(w_star)
     w0 = np.full(d, 0.5)
     sample = Sample(indices=np.arange(dist.size))
-    trace = mirror_descent(
-        sample, dist, squared_loss(dist.b), w_star, w0,
-        mirror_map=config.mirror_map, epsilon=config.epsilon, step=config.step,
-    )
+    diverged = False
+    try:
+        trace = mirror_descent(
+            sample, dist, squared_loss(dist.b), w_star, w0,
+            mirror_map=config.mirror_map, epsilon=config.epsilon, step=config.step,
+        )
+    except DivergenceError as err:  # report the iterates up to the blow-up
+        trace, diverged = err.trace, True
     rows = [
         (t, delta, div)
         for (t, delta), (_, div) in zip(trace.delta_path, trace.bregman_path)
@@ -227,7 +232,7 @@ def _cmd_mirror(config: ExperimentConfig, out: Path, formats: list[str]) -> int:
         "mirror_map": trace.mirror_map,
         "t_star": trace.t_star,
         "bregman_initial": trace.bregman_initial,
-        "euler_excess": trace.euler_excess,
+        "euler_excess": None if diverged else trace.euler_excess,
         "epsilon": trace.epsilon,
         "step": trace.step,
         "offset_holds": None if trace.offset is None else trace.offset.holds,
@@ -242,6 +247,10 @@ def _cmd_mirror(config: ExperimentConfig, out: Path, formats: list[str]) -> int:
         },
         svg_title=f"mirror descent ({trace.mirror_map})",
     )
+    if diverged:
+        print(f"mirror[{trace.mirror_map}]: iterates diverged after t = {rows[-1][0]:.4g} "
+              f"(step {trace.step:.4g}), t* = not reached")
+        return 1
     stopped = "not reached" if trace.t_star is None else f"{trace.t_star:.4g}"
     print(
         f"mirror[{trace.mirror_map}]: t* = {stopped} "

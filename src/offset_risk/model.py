@@ -288,11 +288,6 @@ class PredictorWeights:
         object.__setattr__(self, "sparsity", int(np.count_nonzero(w)))
 
 
-def _longest_run(v: np.ndarray) -> int:
-    """Length of the longest run of equal values in the sorted array ``v``; 0 if empty."""
-    return int((np.searchsorted(v, v, side="right") - np.arange(v.size)).max(initial=0))
-
-
 def _guide_table(dist: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray, int]:
     """The guide table (Chen & Asau 1974) of ``dist``, built on first use.
 
@@ -310,13 +305,14 @@ def _guide_table(dist: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray, in
         thr[-1] = np.inf
         buckets = 1 << (thr.size - 1).bit_length()
         while True:
-            # A threshold on a bucket's lower edge needs no step; t * buckets is exact.
-            x = thr[thr < 1.0] * buckets
-            steps = _longest_run(np.floor(x)[np.floor(x) != x])
+            # Edges b / buckets are exact. A threshold on a bucket's lower edge
+            # is in its guide entry already, so steps counts those strictly inside.
+            edges = np.arange(buckets + 1) / buckets
+            guide = np.searchsorted(thr, edges[:-1], side="right")
+            steps = int((np.searchsorted(thr, edges[1:], side="left") - guide).max())
             if steps <= 1 or buckets >= _GUIDE_MAX_BUCKETS:
                 break
             buckets *= 2
-        guide = np.searchsorted(thr, np.arange(buckets) / buckets, side="right")
         guide.flags.writeable = False
         thr.flags.writeable = False
         object.__setattr__(dist, "_guide", (guide, thr, steps))

@@ -185,9 +185,9 @@ class TestCountsMatchTheGather:
                                           rel=1e-12)
 
     def test_empirical_offset_exact_counts_the_fixed_sample_once(self):
-        # All 2^16 sign rows share the sample's one plain count row, and the
-        # (2^n, n) signs are dropped once counted: the traced peak is 16.8 MB,
-        # at building the signs (37 MB when the sample was counted per row).
+        # The 3,240 rows of the law of the per-atom sign sums share the
+        # sample's one plain count row. The traced peak is 1.1 MB; the bound
+        # also held the 2^16-row sign table this mode once built (16.8 MB).
         rng = np.random.default_rng(1)
         spec = FiniteClassSpec(base=rng.uniform(-1, 1, size=(5, 7)))
         sample_x = rng.integers(0, 7, size=16)
@@ -200,6 +200,32 @@ class TestCountsMatchTheGather:
         assert peak < 24e6
         assert est.value == pytest.approx(gather_empirical_offset(spec, sample_x, 0.5),
                                           rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_exact_mode_matches_the_gather_on_random_samples(self, seed):
+        # Repeated atoms in every sample; seeds 0, 2, 4, 6 zero one class row.
+        rng = np.random.default_rng(seed)
+        s = int(rng.integers(1, 8))
+        base = rng.uniform(-2, 2, size=(int(rng.integers(1, 5)), s))
+        if seed % 2 == 0:
+            base[rng.integers(base.shape[0])] = 0.0
+        sample_x = rng.integers(0, s, size=int(rng.integers(s + 1, 17)))
+        gamma = float(rng.uniform(0.0, 1.5))
+        spec = FiniteClassSpec(base=base)
+        est = empirical_offset_complexity(sample_x, spec, gamma, 0, seed=0, exact=True)
+        assert est.value == pytest.approx(gather_empirical_offset(spec, sample_x, gamma),
+                                          rel=1e-12)
+        counts = np.bincount(sample_x)
+        assert (est.std_error, est.replicates) == (0.0, np.prod(counts[counts > 0] + 1))
+
+    def test_exact_value_ignores_the_sample_order(self):
+        rng = np.random.default_rng(12)
+        spec = FiniteClassSpec(base=rng.uniform(-1, 1, size=(4, 5)))
+        sample_x = rng.integers(0, 5, size=14)
+        est = empirical_offset_complexity(sample_x, spec, 0.4, 0, seed=0, exact=True)
+        for _ in range(3):
+            shuffled = rng.permutation(sample_x)
+            assert empirical_offset_complexity(shuffled, spec, 0.4, 0, seed=0, exact=True) == est
 
     def test_zero_probability_atoms_through_the_estimators(self):
         dist = DiscreteDistribution(xs=np.arange(5.0)[:, None], ys=np.zeros(5),
@@ -438,9 +464,24 @@ class TestEmpiricalOffsetComplexity:
             empirical_offset_complexity(np.arange(10), sub, 0.5, 10, seed=0).value, rel=1e-12)
 
     def test_exact_mode_cap(self):
-        spec = FiniteClassSpec(base=np.ones((1, 2)))
-        with pytest.raises(ValueError, match="capped"):
-            empirical_offset_complexity(np.zeros(21, dtype=int), spec, 0.5, 0, 0, exact=True)
+        # The cap is on the law's rows, prod(c_a + 1): 21 atoms hit once each
+        # give 2^21 rows, while 21 draws of one atom give 22.
+        spec = FiniteClassSpec(base=np.ones((1, 21)))
+        with pytest.raises(ValueError, match="has 2097152 rows"):
+            empirical_offset_complexity(np.arange(21), spec, 0.5, 0, 0, exact=True)
+        est = empirical_offset_complexity(np.zeros(21, dtype=int), spec, 0.5, 0, 0, exact=True)
+        assert est.replicates == 22
+
+    def test_exact_mode_admits_long_samples_on_few_atoms(self):
+        # n = 60 over 3 atoms is a law of 21 * 26 * 16 rows, where the sign
+        # patterns number 2^60.
+        rng = np.random.default_rng(60)
+        spec = FiniteClassSpec(base=rng.uniform(-1, 1, size=(4, 3)))
+        sample_x = rng.permutation(np.repeat([0, 1, 2], [20, 25, 15]))
+        exact = empirical_offset_complexity(sample_x, spec, 0.5, 0, seed=0, exact=True)
+        assert (exact.std_error, exact.replicates) == (0.0, 21 * 26 * 16)
+        mc = empirical_offset_complexity(sample_x, spec, 0.5, 100_000, seed=3)
+        assert abs(mc.value - exact.value) <= 4.0 * mc.std_error
 
     @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -1.0])
     def test_gamma_must_be_nonnegative_and_finite(self, gamma):

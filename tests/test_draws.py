@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from offset_risk import model
+from offset_risk.instances import rate_study_instance
 from offset_risk.model import DiscreteDistribution, draw_atom_ids, replicate_counts
 from stream_reference import loop_draws
 
@@ -208,3 +209,16 @@ def test_guide_table_is_built_once_per_distribution_and_only_for_large_draws():
     replicate_counts(5, "large", 100, 50, fresh)
     draw_atom_ids(fresh, 3 * model._GUIDE_MIN_UNIFORMS, rng)
     assert fresh._guide is table
+
+
+def test_guide_steps_count_the_thresholds_inside_a_bucket():
+    # The rate-study law's 16 atoms of probability 1/16 put every threshold
+    # on one of the 16 bucket edges, so no uniform needs a correction step.
+    guide, _, steps = model._guide_table(rate_study_instance()[0])
+    assert steps == 0
+    np.testing.assert_array_equal(guide, np.arange(16))
+    # Twelve atoms of 1/12 over 16 buckets: thresholds 1/12, 2/12, ... sit
+    # inside buckets, at most one to a bucket.
+    guide, thr, steps = model._guide_table(DISTS[2])
+    assert (guide.size, steps) == (16, 1)
+    np.testing.assert_array_equal(guide, np.searchsorted(thr, np.arange(16) / 16, side="right"))

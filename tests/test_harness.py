@@ -591,3 +591,19 @@ class TestCli:
         )
         assert cli.main(argv) == 1
         assert "t* = not reached" in capsys.readouterr().out
+
+    def test_mirror_reports_a_diverging_run(self, tmp_path, capsys):
+        # Step 5 on the default instance overflows the scale guard at t = 10.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"step": 5.0}))
+        out = tmp_path / "out"
+        assert cli.main(["mirror", "--config", str(path), "--out", str(out)]) == 1
+        line = capsys.readouterr().out
+        assert line.startswith("mirror[euclidean]: iterates diverged after t = 10 ")
+        assert "t* = not reached" in line
+        summary = json.loads((out / "mirror.json").read_text())["summary"]
+        assert summary["t_star"] is None and summary["euler_excess"] is None
+        assert summary["step"] == 5.0 and summary["offset_holds"] is None
+        header, rows = read_csv(out / "mirror.csv")
+        assert header[:3] == ["t", "delta", "bregman_to_reference"]
+        assert [row[0] for row in rows] == [0.0, 5.0, 10.0]

@@ -48,9 +48,8 @@ def test_package_imports_exist_in_their_modules(name):
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
-def test_benchmark_workloads_read_existing_names():
-    # The benchmark runs perfbench/workloads.py against this package, so a
-    # deleted or renamed name it reads must fail here, not in a benchmark run.
+def workloads_and_modules():
+    """The AST of perfbench/workloads.py, and the package modules it names by alias."""
     tree = ast.parse(WORKLOADS.read_text())
     modules = {
         alias.asname or alias.name: importlib.import_module(f"{node.module}.{alias.name}")
@@ -59,6 +58,13 @@ def test_benchmark_workloads_read_existing_names():
         for alias in node.names
     }
     assert set("CEIKMR") <= modules.keys()
+    return tree, modules
+
+
+def test_benchmark_workloads_read_existing_names():
+    # The benchmark runs perfbench/workloads.py against this package, so a
+    # deleted or renamed name it reads must fail here, not in a benchmark run.
+    tree, modules = workloads_and_modules()
     reads = {
         (node.value.id, node.attr)
         for node in ast.walk(tree)
@@ -67,6 +73,28 @@ def test_benchmark_workloads_read_existing_names():
     }
     missing = sorted(f"{name}.{attr}" for name, attr in reads if not hasattr(modules[name], attr))
     assert reads and not missing, f"perfbench/workloads.py reads missing names: {missing}"
+
+
+def test_benchmark_workloads_pass_arguments_their_callees_take():
+    # A renamed keyword would make every task of its workload raise, so the
+    # benchmark would read pass_frac 0; each call must bind to its signature.
+    tree, modules = workloads_and_modules()
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name) and node.func.value.id in modules
+    ]
+    unbound = []
+    for call in calls:
+        assert not any(isinstance(arg, ast.Starred) for arg in call.args)
+        assert all(kw.arg is not None for kw in call.keywords)  # no **kwargs to unpack
+        callee = getattr(modules[call.func.value.id], call.func.attr)
+        try:
+            inspect.signature(callee).bind(*call.args, **{kw.arg: kw for kw in call.keywords})
+        except TypeError as err:
+            unbound.append(f"line {call.lineno}: {call.func.value.id}.{call.func.attr}: {err}")
+    assert sum(len(call.keywords) for call in calls) >= 34
+    assert not unbound, f"perfbench/workloads.py calls that do not bind: {unbound}"
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
