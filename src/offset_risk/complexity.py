@@ -436,10 +436,12 @@ def sparse_offset_values(spec: SparseClassSpec, sigmas: np.ndarray) -> np.ndarra
     c_S' G_S^+ c_S / (4 gamma) with c = sigma Phi and G = Phi' Phi; the value
     is the max over supports. Divide by n for the complexity normalization.
 
-    A subset's c_S' G_S^+ c_S is its parent's plus one new
-    coordinate squared: O(subsets x k^2) to factor per call, then one length-d
-    row of a BLAS product per subset and sign, in blocks of at most
-    _FIT_CHUNK_ELEMENTS (subset, sign) values. Nothing is kept between calls.
+    A support's c_S' G_S^+ c_S is its parent's plus one new coordinate squared:
+    O(supports x k^2) to factor per call, then one length-d row of a BLAS
+    product per support and sign. Per block of signs the sizes run in order, one
+    size's values kept as the next one's parents; blocks of supports, their dense
+    factors and the kept values hold at most _FIT_CHUNK_ELEMENTS floats each (a
+    size with more supports than that is kept one sign at a time).
     """
     sigmas = np.atleast_2d(np.asarray(sigmas, dtype=np.float64))
     if sigmas.shape[1] != spec.n:
@@ -447,31 +449,25 @@ def sparse_offset_values(spec: SparseClassSpec, sigmas: np.ndarray) -> np.ndarra
     levels = _subset_factors(spec.features, spec.k)
     coords = (sigmas @ spec.features).T  # (d, B): c = sigma Phi per column
     out = np.zeros(sigmas.shape[0])  # 0 is the empty support's value
-    signs = max(1, min(out.size, _FIT_CHUNK_ELEMENTS))
-    # A column cut from a support can leave it below one of its subsets, so
-    # every size takes its turn as the last, in blocks with their prefixes.
-    for chain in (levels[:size] for size in range(1, spec.k + 1)):
-        start, total, step = 0, chain[-1][0].shape[0], _FIT_CHUNK_ELEMENTS // signs
-        while start < total:
-            stop = min(total, start + step)
-            while True:  # index ranges of the subsets [start, stop), then of their prefixes
-                spans = [(start, stop)]
-                for _, parent, _ in chain[:0:-1]:
-                    spans.insert(0, (int(parent[spans[0][0]]), int(parent[spans[0][1] - 1]) + 1))
-                if np.diff(spans).max() <= step:
-                    break
-                stop = start + (stop - start) // 2  # the prefixes outnumber the block
-            for lo in range(0, out.size, signs):
-                values, below = np.zeros((1, min(signs, out.size - lo))), 0
-                for (members, parent, rows), (a, b) in zip(chain, spans):
-                    factor = np.zeros((b - a, spec.d))  # each subset's row, dense over d
-                    np.put_along_axis(factor, members[a:b], rows[a:b], axis=1)
-                    coord = factor @ coords[:, lo : lo + signs]
-                    np.square(coord, out=coord)
-                    coord += values.take(parent[a:b] - below, axis=0)
-                    values, below = coord, a
-                np.maximum(out[lo : lo + signs], values.max(axis=0), out=out[lo : lo + signs])
-            start = stop
+    held = max((members.shape[0] for members, _, _ in levels[:-1]), default=1)
+    width = max(1, _FIT_CHUNK_ELEMENTS // held)
+    for lo in range(0, out.size, width):
+        block, best = coords[:, lo : lo + width], out[lo : lo + width]
+        step = max(1, _FIT_CHUNK_ELEMENTS // max(block.shape[1], spec.d))
+        values = np.zeros((1, block.shape[1]))  # the parents of size 1: the empty support
+        for size, (members, parent, rows) in enumerate(levels, 1):
+            # A column cut from a support can leave it below one of its
+            # subsets, so every size's maxima count; the last is not kept.
+            kept = np.empty((members.shape[0], block.shape[1])) if size < spec.k else None
+            for a in range(0, members.shape[0], step):
+                b = min(members.shape[0], a + step)
+                factor = np.zeros((b - a, spec.d))  # each support's row, dense over d
+                np.put_along_axis(factor, members[a:b], rows[a:b], axis=1)
+                coord = np.matmul(factor, block, out=None if kept is None else kept[a:b])
+                np.square(coord, out=coord)
+                coord += values.take(parent[a:b], axis=0)
+                np.maximum(best, coord.max(axis=0), out=best)
+            values = kept
     return out / (4.0 * spec.gamma)
 
 

@@ -200,8 +200,8 @@ def midpoint(
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie strictly between 0 and 1")
-    if c1 <= 0:
-        raise ValueError("c1 must be positive")
+    if not 0 < c1 < np.inf:
+        raise ValueError(f"c1 must be positive and finite, got {c1!r}")
     dictionary.validate_for(dist)
     e, p, weights, near = _fit_rows(sample.counts(dist), dist, loss, dictionary, "midpoint",
                                     delta, c1)
@@ -274,25 +274,13 @@ def check_offset(
 # ---------------------------------------------------------------------------
 
 
-def _euclidean_to_dual(w: np.ndarray) -> np.ndarray:
+def _identity(w: np.ndarray) -> np.ndarray:
     return w
-
-
-def _euclidean_from_dual(theta: np.ndarray) -> np.ndarray:
-    return theta
 
 
 def _euclidean_bregman(a: np.ndarray, b: np.ndarray) -> float:
     diff = a - b
     return 0.5 * float(diff @ diff)
-
-
-def _entropy_to_dual(w: np.ndarray) -> np.ndarray:
-    return np.log(w)
-
-
-def _entropy_from_dual(theta: np.ndarray) -> np.ndarray:
-    return np.exp(theta)
 
 
 def _entropy_bregman(a: np.ndarray, b: np.ndarray) -> float:
@@ -302,8 +290,8 @@ def _entropy_bregman(a: np.ndarray, b: np.ndarray) -> float:
 
 
 MIRROR_MAPS = {
-    "euclidean": (_euclidean_to_dual, _euclidean_from_dual, _euclidean_bregman),
-    "negative_entropy": (_entropy_to_dual, _entropy_from_dual, _entropy_bregman),
+    "euclidean": (_identity, _identity, _euclidean_bregman),
+    "negative_entropy": (np.log, np.exp, _entropy_bregman),
 }
 
 

@@ -36,22 +36,28 @@ class AggregateStudy:
     delta: float
     rows: list[tuple[int, int, float]]  # (n, replicate, excess risk)
     summary: list[dict]
-    rate: RateFit | None  # None below two grid points or at a nonpositive quantile
+    rate: RateFit | None  # None where fit_rate would refuse the quantile points
+
+
+def _rate_problem(points: list[tuple[int, float]]) -> str | None:
+    """Why ``fit_rate`` cannot fit these points, or None when it can."""
+    if len(points) < 2:
+        return f"rate fit needs at least two points, got {len(points)}"
+    if len({n for n, _ in points}) < 2:
+        return f"rate fit needs at least two distinct n, got only n = {int(points[0][0])}"
+    bad = [int(n) for n, s in points if not 0 < s < np.inf]
+    if bad:
+        return f"rate fit needs positive finite statistics; nonpositive or not finite at n = {bad}"
+    return None
 
 
 def fit_rate(points: list[tuple[int, float]]) -> RateFit:
     """Least squares on log-log transformed (n, statistic) points; needs two or more n."""
-    if len(points) < 2:
-        raise ValueError(f"rate fit needs at least two points, got {len(points)}")
+    problem = _rate_problem(points)
+    if problem is not None:
+        raise ValueError(problem)
     ns = np.array([p[0] for p in points], dtype=float)
-    if np.unique(ns).size < 2:
-        raise ValueError(f"rate fit needs at least two distinct n, got only n = {int(ns[0])}")
     stats = np.array([p[1] for p in points], dtype=float)
-    if np.any(stats <= 0):
-        bad = [int(n) for n, s in points if s <= 0]
-        raise ValueError(
-            f"rate fit needs positive statistics; nonpositive at n = {bad}"
-        )
     lx, ly = np.log(ns), np.log(stats)
     slope, intercept = np.polyfit(lx, ly, 1)
     fitted = slope * lx + intercept
@@ -97,7 +103,7 @@ def run_aggregate(
             }
         )
         points.append((n, q))
-    rate = fit_rate(points) if len(points) > 1 and all(q > 0 for _, q in points) else None
+    rate = None if _rate_problem(points) else fit_rate(points)
     return AggregateStudy(
         estimator=config.estimator,
         delta=config.delta,

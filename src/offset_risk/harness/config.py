@@ -7,7 +7,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..estimators import MIRROR_MAPS

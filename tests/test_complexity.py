@@ -829,15 +829,18 @@ class TestSubsetGramFactors:
 
     @pytest.mark.parametrize("signs", [4, 20])
     def test_tiny_blocks_match_one_block(self, monkeypatch, signs):
-        # At 8 values per block, 4 signs make blocks of two subsets, and a
-        # block whose prefixes outnumber that shrinks to one subset; 20 signs
-        # run in sign chunks of 8, 8 and 4, one subset per block.
+        # The 126 four-subsets of 9 columns are the most supports kept as
+        # parents. At 8 values per block that makes blocks of one sign, and
+        # d = 9 blocks of one support; at 256, blocks of 2 signs and 28
+        # supports, so the 36 two-subsets span two blocks.
         rng = np.random.default_rng(41)
         spec = SparseClassSpec(features=rng.normal(size=(12, 9)), k=5, gamma=1.0)
         sigmas = rng.choice([-1.0, 1.0], size=(signs, 12))
         whole = sparse_offset_values(spec, sigmas)
-        monkeypatch.setattr(complexity, "_FIT_CHUNK_ELEMENTS", 8)
-        np.testing.assert_allclose(sparse_offset_values(spec, sigmas), whole, rtol=1e-13, atol=0.0)
+        for budget in (8, 256):
+            monkeypatch.setattr(complexity, "_FIT_CHUNK_ELEMENTS", budget)
+            np.testing.assert_allclose(sparse_offset_values(spec, sigmas), whole, rtol=1e-13,
+                                       atol=0.0)
 
     @pytest.mark.parametrize("seed", range(39, 44))
     def test_near_dependent_column_is_kept_and_exact_dependence_dropped(self, seed):
@@ -879,9 +882,11 @@ class TestSubsetGramFactors:
 
     @pytest.mark.parametrize("signs", [50, 1000])
     def test_traced_peak_is_bounded(self, signs):
-        # The kernel keeps (subset, sign) blocks of _FIT_CHUNK_ELEMENTS values
-        # and a per-call factor of O(subsets x k) values; stacked subset
-        # bases held 159,744 rows of 64 floats here (a 153-159 MiB peak).
+        # The kernel holds blocks of supports, their dense (supports, d)
+        # factors and one size's kept values, each of at most
+        # _FIT_CHUNK_ELEMENTS floats, and a per-call factor of O(supports x k)
+        # values (about 10 MiB here); stacked subset bases held 159,744 rows
+        # of 64 floats (a 153-159 MiB peak).
         rng = np.random.default_rng(40)
         spec = SparseClassSpec(features=rng.normal(size=(64, 32)), k=4, gamma=1.0)
         sigmas = rng.choice([-1.0, 1.0], size=(signs, 64))
@@ -893,6 +898,41 @@ class TestSubsetGramFactors:
             tracemalloc.stop()
         assert values.shape == (signs,) and np.all(values > 0)
         assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("d", [300, 600])
+    def test_one_sign_row_peak_is_bounded_in_d(self, d):
+        # One block held every pair's values and dense (pairs, d) factor
+        # once the signs were few: 105 MiB traced at d = 300 and 834 MiB at
+        # d = 600. The factor now shares the block budget (6 and 17 MiB).
+        rng = np.random.default_rng(42)
+        spec = SparseClassSpec(features=rng.normal(size=(64, d)), k=2, gamma=1.0)
+        sigma = rng.choice([-1.0, 1.0], size=(1, 64))
+        tracemalloc.start()
+        try:
+            value = sparse_offset_values(spec, sigma)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value.shape == (1,) and value[0] > 0
+        assert peak < 32 * 2**20
+
+    def test_each_support_row_is_built_once(self, monkeypatch):
+        # Blocks once rebuilt their prefixes' rows: 47,498 rows here.
+        rows = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def put_along_axis(self, arr, indices, values, axis):
+                rows.append(arr.shape[0])
+                return np.put_along_axis(arr, indices, values, axis)
+
+        monkeypatch.setattr(complexity, "np", CountingNumpy())
+        rng = np.random.default_rng(40)
+        spec = SparseClassSpec(features=rng.normal(size=(64, 32)), k=4, gamma=1.0)
+        sparse_offset_values(spec, rng.choice([-1.0, 1.0], size=(50, 64)))
+        assert sum(rows) == sum(comb(32, size) for size in range(1, 5)) == 41_448
 
     @pytest.fixture
     def enumerations(self, monkeypatch):

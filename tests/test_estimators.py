@@ -276,6 +276,15 @@ class TestMidpoint:
         with pytest.raises(ValueError):
             midpoint(sample, dist, LOSS, dictionary, delta=0.1, c1=0.0)
 
+    @pytest.mark.parametrize("c1", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_c1_must_be_positive_and_finite(self, c1):
+        # A NaN c1 once passed `c1 <= 0` and returned an empty almost-minimizer
+        # set, without the minimizer, where c1 = 4 gives (0, 1, 2, 3).
+        dist, dictionary = random_instance(np.random.default_rng(0))
+        sample = draw_sample(dist, 20, seed=0)
+        with pytest.raises(ValueError, match="c1 must be positive"):
+            midpoint(sample, dist, LOSS, dictionary, delta=0.1, c1=c1)
+
 
 class TestCheckOffset:
     @pytest.mark.parametrize("bad", [-1, 3, True, np.True_, 1.0, np.float64(0.0), "0", None])

@@ -222,6 +222,12 @@ class TestRateFit:
         with pytest.raises(ValueError, match="positive"):
             fit_rate([(64, 0.0), (128, 1.0)])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_a_statistic_that_is_not_finite(self, bad):
+        # A NaN once gave slope NaN with r^2 = 1, and an inf a RuntimeWarning.
+        with pytest.raises(ValueError, match=r"not finite at n = \[128\]"):
+            fit_rate([(64, 1.0), (128, bad), (256, 0.5)])
+
     @pytest.mark.parametrize("points", [[], [(64, 0.1)]])
     def test_rejects_fewer_than_two_points(self, points):
         # One point once gave slope -0.277 with r^2 = 1 and a RankWarning.
