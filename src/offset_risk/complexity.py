@@ -25,7 +25,8 @@ from math import comb, isnan, log, prod
 
 import numpy as np
 
-from .model import DiscreteDistribution, _id_array, _sample_counts, replicate_counts
+from .model import (DiscreteDistribution, _count_product, _id_array, _sample_counts,
+                    replicate_counts)
 
 __all__ = [
     "FiniteClassSpec",
@@ -71,6 +72,8 @@ class FiniteClassSpec:
         base = np.atleast_2d(np.asarray(self.base, dtype=np.float64))
         if base.shape[0] < 1:
             raise ValueError("base class must be nonempty")
+        if not np.isfinite(base).all():
+            raise ValueError("base class values must be finite")
         base = np.array(base, copy=True)
         base.flags.writeable = False
         base_sq = base**2
@@ -103,6 +106,8 @@ class SparseClassSpec:
 
     def __post_init__(self) -> None:
         feats = np.atleast_2d(np.asarray(self.features, dtype=np.float64))
+        if not np.isfinite(feats).all():
+            raise ValueError("features must be finite")
         object.__setattr__(self, "features", feats)
         d = feats.shape[1]
         if not 1 <= self.k <= d:
@@ -188,10 +193,10 @@ def _per_draw_sups(
     (1, s) row that every draw shares. So memory is O(R (s + k)), not the
     O(R n k) of a gather; ``model.replicate_counts`` holds no (R, n) ids.
     """
-    quad = gamma * (counts @ class_spec._base_sq.T)
+    quad = gamma * _count_product(counts, class_spec._base_sq)
     if pop_sq is not None:
         quad = quad + gamma * n * pop_sq[None, :]
-    linear = signed @ class_spec.base.T
+    linear = _count_product(signed, class_spec.base)
     return star_hull_sup(linear, np.broadcast_to(quad, linear.shape))[2] / n
 
 
@@ -306,7 +311,8 @@ def local_sup_stats(
     if class_spec.base.shape[1] != dist.size:
         raise ValueError("class value tables must match the support size")
     _, signed = replicate_counts(seed, "local-complexity", replicates, n, dist, signs=True)
-    return np.asfortranarray(signed @ class_spec.base.T / n), class_spec._base_sq @ dist.probs
+    stats = np.asfortranarray(_count_product(signed, class_spec.base) / n)
+    return stats, class_spec._base_sq @ dist.probs
 
 
 def phi_from_stats(

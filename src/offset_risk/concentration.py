@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complexity import FiniteClassSpec, _std_error, star_hull_sup
-from .model import DiscreteDistribution, _count_chunks, _id_array, _sample_counts, rng_stream
+from .model import (DiscreteDistribution, _count_chunks, _count_product, _id_array,
+                    _sample_counts, rng_stream)
 
 __all__ = [
     "MultiplierSetup",
@@ -145,7 +146,7 @@ class TailReport:
 def _sup_kernel(setup: MultiplierSetup, counts: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     """(argmax, lam, U) per row of (R, s) counts of n atom draws, then the (R, k) A and B."""
     k = setup.class_spec.base.shape[0]
-    sums = counts @ setup._table.T  # (R, 2k)
+    sums = _count_product(counts, setup._table)  # (R, 2k)
     linear = sums[:, :k] - n * setup._table_mean[:k]
     quad = setup.gamma * (n * setup._table_mean[k:] + sums[:, k:])
     return (*star_hull_sup(linear, quad), linear, quad)
@@ -183,17 +184,10 @@ def simulate_sup_draws(
     Each replicate owns a keyed stream, so results are independent of
     batching and execution order; the kernel reads their atom counts only,
     one chunk of replicates at a time as it is drawn, so the two (R,) result
-    arrays are all that grows with R. For R > 1 and n <= 10,922 draws,
-    where a full chunk holds three or more replicates, every chunk has at
-    least two rows (see ``model._replicate_words``), so BLAS multiplies it
-    with the matrix-matrix kernel it uses for all R rows at once, and the
-    values are bit for bit those of one kernel call on ``replicate_counts``.
-    A BLAS that also picks kernels by size can part them in the last bit:
-    OpenBLAS on AVX-512 takes a small-matrix kernel for products of at most
-    1,200 entries over 32 or more atoms, which chunks reach only past
-    n = 27 draws. The result is read-only and kept on ``setup``: a call
-    with the same (n, replicates, seed) as the setup's last one returns the
-    same arrays without drawing.
+    arrays are all that grows with R, and through ``model._count_product``
+    the values are bit for bit those of one kernel call on all R. The result
+    is read-only and kept on ``setup``: a call with the same (n, replicates,
+    seed) as the setup's last one returns the same arrays without drawing.
     """
     key = (n, replicates, seed)
     if setup._last_sim is not None and setup._last_sim[0] == key:

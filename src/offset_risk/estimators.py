@@ -331,8 +331,8 @@ def mirror_descent(
     beyond the scale guard raises :class:`DivergenceError` with the partial
     trace and an infinite excess on overflow.
     """
-    if not step > 0:
-        raise ValueError(f"step must be positive, got {step!r}")
+    if not 0 < step < np.inf:
+        raise ValueError(f"step must be positive and finite, got {step!r}")
     if not 0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     if mirror_map not in MIRROR_MAPS:

@@ -100,6 +100,8 @@ class ExperimentConfig:
             resolve_instance(self)  # a malformed instance fails here, at load
         if self.checks is not None:
             checks = tuple(self.checks)
+            if not checks:
+                raise ValueError("checks must name at least one check; leave it out to run all")
             unknown = [c for c in checks if c not in CHECK_IDS]
             if unknown:
                 raise ValueError(f"unknown check ids: {sorted(unknown, key=str)}")

@@ -66,6 +66,8 @@ _GUIDE_MIN_UNIFORMS = 2048
 # The guide table doubles its bucket count, up to this many, while some
 # bucket holds more than one cumulative probability.
 _GUIDE_MAX_BUCKETS = 2**16
+# Rows per block of _count_product; a zero tail block over 2,000 atoms takes 0.5 MB.
+_PRODUCT_ROWS = 32
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -397,11 +399,11 @@ def _replicate_words(key0: int, replicates: int, words: int):
     Yields (first, block) pairs; row i of the uint64 block holds the words of
     the stream keyed (key0, first + i). Few words per replicate go through
     the numpy kernel, many through one re-keyed native Philox. The chunks
-    split R evenly, so their row counts differ by at most one: a short last
-    chunk, down to one row, never occurs unless every chunk is that short.
+    are consecutive runs of ``max(1, _CHUNK_WORDS // words)`` rows, the last
+    one shorter when they do not divide R.
     """
-    chunks = -(-replicates // max(1, _CHUNK_WORDS // words))
-    spans = ((i * replicates // chunks, (i + 1) * replicates // chunks) for i in range(chunks))
+    step = max(1, _CHUNK_WORDS // words)
+    spans = ((lo, min(lo + step, replicates)) for lo in range(0, replicates, step))
     if words <= _KERNEL_MAX_WORDS:
         blocks = -(-words // 4)
         for lo, hi in spans:
@@ -460,6 +462,19 @@ def _count_chunks(
             yield lo, counts, sgn
 
     return chunks()
+
+
+def _count_product(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``rows @ table.T`` in blocks of ``_PRODUCT_ROWS`` rows, the last one padded with zeros.
+
+    One block shape is one BLAS kernel, so a row's result is the same in any call holding it.
+    """
+    r, s = rows.shape
+    full = r - r % _PRODUCT_ROWS
+    tail = np.zeros((_PRODUCT_ROWS, s))
+    tail[: r - full] = rows[full:]
+    head = rows[:full].reshape(-1, _PRODUCT_ROWS, s) @ table.T
+    return np.concatenate([head.reshape(full, table.shape[0]), (tail @ table.T)[: r - full]])
 
 
 def replicate_counts(

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from offset_risk import complexity
+from offset_risk import complexity, model
 from offset_risk.complexity import (
     FiniteClassSpec,
     SparseClassSpec,
@@ -285,6 +285,75 @@ class TestCountsMatchTheGather:
         assert peaks[1] - peaks[0] < 16
 
 
+def multiplier_law(s, k, seed):
+    """A uniform s-atom law with random multipliers, and a random k-function class."""
+    rng = np.random.default_rng(seed)
+    dist = DiscreteDistribution(xs=np.arange(s, dtype=float)[:, None], ys=rng.uniform(-1, 1, s),
+                                probs=np.full(s, 1.0 / s), b=1.0)
+    return dist, FiniteClassSpec(base=rng.uniform(-1, 1, (k, s)))
+
+
+def keyed_entry_points(dist, spec, n, replicates, seed):
+    """The three keyed Monte-Carlo entry points on one law, as per-replicate arrays."""
+    setup = MultiplierSetup(joint=dist, class_spec=spec, gamma=0.5)
+    return (offset_complexity_draws(dist, spec, 0.5, n, replicates, seed),
+            local_sup_stats(dist, spec, n, replicates, seed)[0],
+            *simulate_sup_draws(setup, n, replicates, seed))
+
+
+# Prints one digest of the entry points' bytes on 40- and 64-atom laws.
+ENTRY_POINT_DIGEST = """
+import hashlib
+from test_complexity import keyed_entry_points, multiplier_law
+digest = hashlib.sha256()
+for s, k in [(40, 4), (64, 6)]:
+    for arr in keyed_entry_points(*multiplier_law(s, k, s), 30, 3000, 1):
+        digest.update(arr.tobytes())
+print(digest.hexdigest())
+"""
+
+
+class TestCountProduct:
+    """Every keyed count product goes through model._count_product's fixed row blocks."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_prefix_and_offset_is_the_rows_of_the_full_call(self, seed):
+        rng = np.random.default_rng(seed)
+        r, s, k = int(rng.integers(1, 100)), int(rng.integers(1, 90)), int(rng.integers(1, 20))
+        if seed == 0:
+            r = 2 * model._PRODUCT_ROWS  # whole blocks, no tail
+        rows = rng.integers(-6, 7, (r, s))  # int64, as atom counts are
+        table = rng.uniform(-1, 1, (k, s))
+        full = model._count_product(rows, table)
+        np.testing.assert_allclose(full, rows @ table.T, rtol=1e-12, atol=1e-12 * s)
+        for i in range(r):
+            assert model._count_product(rows[: i + 1], table).tobytes() == full[: i + 1].tobytes()
+            assert model._count_product(rows[i:], table).tobytes() == full[i:].tobytes()
+
+    @pytest.mark.parametrize("s", [32, 40, 64])
+    def test_keyed_values_do_not_depend_on_the_replicate_count(self, s):
+        # On 32 or more atoms BLAS picks its kernel by product size; a plain
+        # product parted the first 20 rows at R = 20 and 5,000 by up to 5e-16.
+        dist, spec = multiplier_law(s, 4, s)
+        for n in (8, 50):
+            short = keyed_entry_points(dist, spec, n, 20, 3)
+            long = keyed_entry_points(dist, spec, n, 5000, 3)
+            for a, b in zip(short, long):
+                assert a.tobytes() == b[:20].tobytes()
+
+    def test_keyed_values_do_not_depend_on_the_blas_thread_count(self):
+        tests = str(Path(__file__).resolve().parent)
+        src = str(Path(complexity.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, tests]),
+                   "OPENBLAS_NUM_THREADS": threads}
+            res = subprocess.run([sys.executable, "-c", ENTRY_POINT_DIGEST],
+                                 capture_output=True, text=True, check=True, env=env)
+            digests.append(res.stdout)
+        assert digests[0] == digests[1]
+
+
 class TestStarHullSup:
     def test_clamped_vertex(self):
         j, lam, value = star_hull_sup([2.0], [1.0])
@@ -366,6 +435,15 @@ class TestOffsetComplexityMc:
         spec = FiniteClassSpec(base=np.ones((1, 3)))
         with pytest.raises(ValueError, match="gamma must be nonnegative and finite"):
             estimate(uniform_dist(3), spec, gamma, 4, 8, 0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_base_rejected(self, value):
+        # A NaN in base used to give value=nan from offset_complexity_mc, and
+        # the "eta = 0" error from a MultiplierSetup.
+        base = np.ones((2, 3))
+        base[1, 2] = value
+        with pytest.raises(ValueError, match="base class values must be finite"):
+            FiniteClassSpec(base=base)
 
     def test_zero_class_is_exactly_zero(self):
         dist = uniform_dist(3)
@@ -734,6 +812,14 @@ class TestSparseOffset:
     def test_gamma_must_be_positive_and_finite(self, gamma):
         with pytest.raises(ValueError, match="gamma must be positive and finite"):
             SparseClassSpec(features=np.ones((4, 3)), k=1, gamma=gamma)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_features_rejected(self, value):
+        # A non-finite feature used to give NaN values after a matmul warning.
+        features = np.ones((4, 3))
+        features[2, 1] = value
+        with pytest.raises(ValueError, match="features must be finite"):
+            SparseClassSpec(features=features, k=1, gamma=1.0)
 
     def test_enumeration_cap(self):
         # C(50, 1) + ... + C(50, 4) = 251,175 subsets stay under the 10^6 cap;

@@ -197,10 +197,9 @@ class TestSimulation:
             sups, quad_at_max = simulate_sup_draws(setup, n=n, replicates=reps, seed=seed)
             idx, _ = loop_draws(seed, "multiplier-sample", reps, n, setup.joint, signs=False)
             for r in range(reps):
+                # One row is multiplied in the same fixed block as many rows.
                 res = multiplier_sup(setup, idx[r])
-                # One row goes through a different BLAS path than many rows.
-                assert res.value == pytest.approx(sups[r], rel=1e-13, abs=1e-14)
-                assert res.quad_at_max == pytest.approx(quad_at_max[r], rel=1e-13, abs=1e-14)
+                assert (res.value, res.quad_at_max) == (sups[r], quad_at_max[r])
 
     def test_sup_draws_nonnegative(self):
         rng = np.random.default_rng(6)
@@ -217,10 +216,11 @@ def one_shot_sup_draws(setup, n, replicates, seed):
 
 
 class TestChunkedSimulation:
-    # 8,193 replicates of n = 4 are one full 8,192-row chunk plus one row
-    # unless the chunks are even; a one-row product goes through BLAS's
-    # matrix-vector kernel, whose last bits differ from the matrix kernel's
-    # on 6 of these 40 setups (OpenBLAS 0.3.31 on x86-64).
+    # 8,193 replicates of n = 4 are one full 8,192-row chunk plus one row.
+    # A plain one-row product goes through BLAS's matrix-vector kernel, whose
+    # last bits differ from the matrix kernel's on 6 of these 40 setups
+    # (OpenBLAS 0.3.31 on x86-64); model._count_product multiplies every
+    # chunk in the same fixed row blocks.
     @pytest.mark.parametrize("n, replicates, setups", [
         (4, 8193, 40), (6, 20_000, 4), (5, 97, 4), (1, 3, 4), (11, 1, 4),
     ])

@@ -98,14 +98,12 @@ class TestReplicateDraws:
 
     @pytest.mark.parametrize("replicates, words", [(8193, 4), (97, 5), (3, 7), (1, 9),
                                                    (10, 10**5), (65_537, 1)])
-    def test_chunks_split_the_replicates_evenly(self, replicates, words):
-        # A remainder chunk used to take what was left, down to one row.
+    def test_chunks_are_consecutive_runs_of_one_size(self, replicates, words):
+        # 8,193 rows of 4 words are one full chunk and a one-row last chunk.
+        step = max(1, model._CHUNK_WORDS // words)
         spans = [(lo, block.shape[0]) for lo, block in
                  model._replicate_words(11, replicates, words)]
-        rows = [size for _, size in spans]
-        assert [lo for lo, _ in spans] == np.cumsum([0, *rows[:-1]]).tolist()
-        assert sum(rows) == replicates and max(rows) - min(rows) <= 1
-        assert max(rows) <= max(1, model._CHUNK_WORDS // words)
+        assert spans == [(lo, min(step, replicates - lo)) for lo in range(0, replicates, step)]
 
     def test_zero_probability_atoms_are_never_drawn(self):
         counts, _ = replicate_counts(3, "zero-atoms", 2000, 9, DISTS[1])

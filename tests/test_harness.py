@@ -137,6 +137,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="checks must be a list"):
             ExperimentConfig.from_dict({"checks": value})
 
+    def test_checks_must_not_be_empty(self):
+        # An empty list used to run no check and report all_pass: true.
+        with pytest.raises(ValueError, match="checks must name at least one check"):
+            ExperimentConfig.from_dict({"checks": []})
+
     def test_unhashable_mirror_map_rejected(self):
         with pytest.raises(ValueError, match=r"unknown mirror map \['euclidean'\]"):
             ExperimentConfig.from_dict({"mirror_map": ["euclidean"]})
@@ -268,7 +273,7 @@ class TestRunAggregate:
         for i in range(len(qs) - 1):
             assert qs[i + 1] <= qs[i] + 3.0 * (ses[i] + ses[i + 1])
 
-    def test_deterministic_and_thread_invariant(self):
+    def test_repeated_runs_give_equal_rows(self):
         dist, dictionary = rate_study_instance()
         cfg = ExperimentConfig(command="aggregate", estimator="midpoint",
                                n_grid=(16, 32), replicates=20, seed=11)
@@ -499,7 +504,8 @@ class TestCli:
         assert not (tmp_path / "verify_manifest.json").exists()
 
     @pytest.mark.parametrize("doc", [{"gamma": "0.5"}, {"n_grid": "46"}, {"seed": "3"},
-                                     {"replicates": 2.5}, {"checks": "duality"}])
+                                     {"replicates": 2.5}, {"checks": "duality"},
+                                     {"checks": []}])
     def test_mistyped_config_exits_2(self, tmp_path, capsys, doc):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))

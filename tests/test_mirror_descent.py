@@ -161,6 +161,9 @@ class TestValidationAndFailure:
         dist, sample = scalar_instance()
         with pytest.raises(ValueError):
             mirror_descent(sample, dist, LOSS, [0.0], [1.0], epsilon=0.1, step=0.0)
+        # An infinite step used to pass and end in a DivergenceError.
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            mirror_descent(sample, dist, LOSS, [0.0], [1.0], epsilon=0.1, step=np.inf)
         with pytest.raises(ValueError):
             mirror_descent(sample, dist, LOSS, [0.0], [1.0], epsilon=0.0, step=1e-3)
 
