@@ -309,27 +309,27 @@ def mirror_descent(
 
     Linear predictors x -> <w, x> on the support features ``dist.xs``; the
     sample enters through its atom counts, atom a weighing count(a)/n, so
-    R_n(w) = sum_a (count(a)/n) loss(<w, x_a>, y_a). The flow is
-    discretized by explicit Euler in the dual coordinates theta = grad psi(w):
-    theta <- theta - step * grad R_n(w). The run stops at the first time t
-    with
+    R_n(w) = sum_a (count(a)/n) (<w, x_a> - y_a)^2, whose gradient is
+    g = H w - b with H = 2 X'WX and b = 2 X'Wy, one (d, d) table built once.
+    The flow is discretized by explicit Euler in the dual coordinates
+    theta = grad psi(w), theta <- theta - step * g, and stops at the first t with
 
-        delta(t) = R_n(w_t) - R_n(w*) + (c/2) (1/n) sum <w_t - w*, X_i>^2
-                 <= epsilon,
+        delta(t) = R_n(w_t) - R_n(w*) + (c/2) |w_t - w*|_n^2 = <g_t, w_t - w*> <= epsilon.
 
-    where c is the loss's strong-convexity modulus. The trace records, per
-    step, delta and the divergence to the reference point, plus the
-    accumulated positive Euler excess
+    The identity needs c = 2, the squared loss's curvature: R_n is quadratic,
+    so R_n(w*) = R_n(w_t) + <g_t, w* - w_t> + |w_t - w*|_n^2 exactly, and no
+    step evaluates a risk. The trace records, per step, delta and D(w*, w_t),
+    and sums the Euler excess
 
-        e_k = step * <g_k, w_k - w_{k+1}> - D(w_{k+1}, w_k),
+        e_k = step <g_k, w_k - w_{k+1}> - D(w_{k+1}, w_k) = D(w_k, w_{k+1}) >= 0,
 
-    which is the exact per-step slack in the continuous-time descent
-    identity; every discrete statement about the run holds up to the sum of
-    these terms. The horizon is 2 (D(w*, w0) + excess) / epsilon plus one
-    step, the continuous-time stop guarantee widened by the measured
-    discretization error. A non-finite iterate (an overflow included) or one
-    beyond the scale guard raises :class:`DivergenceError` with the partial
-    trace and an infinite excess on overflow.
+    exact because theta_k - theta_{k+1} = step g_k: the per-step slack in the
+    continuous-time descent identity. The horizon is 2 (D(w*, w0) + excess) /
+    epsilon plus one step. The stopped iterate's offset report is evaluated
+    apart from delta, from its predictions. An iterate off the map's domain
+    (an overflow, or a negative-entropy coordinate that underflows to 0) has
+    an infinite excess; it, or one beyond the scale guard, raises
+    :class:`DivergenceError` with the partial trace.
     """
     if not 0 < step < np.inf:
         raise ValueError(f"step must be positive and finite, got {step!r}")
@@ -351,46 +351,35 @@ def mirror_descent(
             raise ValueError("negative-entropy map requires strictly positive w0")
         if np.any(w_star < 0):
             raise ValueError("negative-entropy map requires nonnegative w_star")
-    half_curve = 0.5 * loss.strong_convexity
-    p_star = xs @ w_star
-    risk_ref = float(weights @ loss.eval(p_star, ys))
-
-    def evaluate(w: np.ndarray) -> tuple[float, float, np.ndarray]:
-        """R_n(w) - R_n(w*), |w - w*|_n^2 and grad R_n(w), from one prediction."""
-        p = xs @ w
-        risk_gap = float(weights @ loss.eval(p, ys)) - risk_ref
-        return risk_gap, float(weights @ (p - p_star) ** 2), xs.T @ (weights * loss.grad(p, ys))
-
+    weighted = 2.0 * xs.T * weights
+    hess, lin = weighted @ xs, weighted @ ys
     d0 = bregman(w_star, w0)
     scale_guard = 1e6 * float(np.sqrt(w0.dot(w0))) + 1e6
-    w, theta, t, excess = w0, to_dual(w0), 0.0, 0.0
-    risk_gap, quadratic, g = evaluate(w)
-    delta = risk_gap + half_curve * quadratic
+    w, theta, t, excess, diverged = w0, to_dual(w0), 0.0, 0.0, False
+    g = hess @ w - lin
+    delta = float(g @ (w - w_star))
     w_path, delta_path, bregman_path = [(0.0, w)], [(0.0, delta)], [(0.0, d0)]
     t_star = 0.0 if delta <= epsilon else None
-    diverged = False
-    with np.errstate(over="ignore"):  # an overflow is a non-finite iterate
+    # An iterate off the map's domain has an infinite or nan excess D(w_k, w_{k+1}).
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         while t_star is None and t < 2.0 * (d0 + excess) / epsilon + step:
             theta = theta - step * g
             w_new = from_dual(theta)
             t += step
-            finite = bool(np.isfinite(w_new).all())
-            moved = bregman(w_new, w) if finite else math.inf
-            step_excess = step * float(g @ (w - w_new)) - moved
-            excess += max(0.0, step_excess) if math.isfinite(step_excess) else math.inf
+            excess += bregman(w, w_new)
             w = w_new
-            if not finite or np.sqrt(w.dot(w)) > scale_guard:
+            if not excess < math.inf or np.sqrt(w.dot(w)) > scale_guard:
                 diverged = True
                 break
-            risk_gap, quadratic, g = evaluate(w)
-            delta = risk_gap + half_curve * quadratic
+            g = hess @ w - lin
+            delta = float(g @ (w - w_star))
             w_path.append((t, w))
             delta_path.append((t, delta))
             bregman_path.append((t, bregman(w_star, w)))
             if delta <= epsilon:
                 t_star = t
-    offset = None if t_star is None else offset_report_from_values(
-        risk_gap, quadratic, half_curve, epsilon)
+    offset = None if t_star is None else offset_report_from_values(*_offset_terms(
+        weights, xs @ w, loss, ys, xs @ w_star), 0.5 * loss.strong_convexity, epsilon)
     trace = MirrorDescentTrace(
         mirror_map=mirror_map,
         w_path=w_path,
@@ -400,7 +389,7 @@ def mirror_descent(
         bregman_initial=d0,
         epsilon=epsilon,
         step=step,
-        euler_excess=float(excess),
+        euler_excess=excess if excess < math.inf else math.inf,  # nan: off the domain too
         offset=offset,
     )
     if diverged:

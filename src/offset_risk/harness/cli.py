@@ -140,8 +140,8 @@ def _cmd_complexity(config: ExperimentConfig, out: Path, formats: list[str]) -> 
         ("n", "offset", "offset_se", "local_fixed_point", "local_se"),
         rows, summary, _provenance(config), formats,
         svg_series={
-            "offset": ([r[0] for r in rows], [max(r[1], 1e-12) for r in rows]),
-            "local": ([r[0] for r in rows], [max(r[3], 1e-12) for r in rows]),
+            "offset": ([r[0] for r in rows], [r[1] for r in rows]),
+            "local": ([r[0] for r in rows], [r[3] for r in rows]),
         },
         svg_title="complexity vs n",
         svg_log_log=True,
@@ -264,6 +264,9 @@ def _cmd_verify(config: ExperimentConfig, out: Path, formats: list[str]) -> int:
     manifest, results = run_verify(config)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "verify_manifest.json", manifest)
+    write_json(out / "verify_timings.json", {**_provenance(config), "checks": [
+        {"check_id": r.check_id, "wall_s": r.runtime_s, "peak_rss_kb": r.peak_rss_kb}
+        for r in results]})
     for r in results:
         line = "pass" if r.passed else "FAIL"
         # A failing keyed check names the instance that sets its margin.
@@ -287,8 +290,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     formats = [f.strip() for f in args.format.split(",") if f.strip()]
     unknown = set(formats) - {"csv", "json", "svg"}
-    if unknown:
-        print(f"unknown output formats: {sorted(unknown)}", file=sys.stderr)
+    if unknown or not formats:
+        print(f"--format must name some of csv, json and svg, got {args.format!r}", file=sys.stderr)
         return 2
     out = Path(args.out)
     dispatch = {

@@ -96,8 +96,11 @@ def write_json(path: str | Path, doc: dict) -> Path:
     return path
 
 
-def _axis_transform(values: np.ndarray, log: bool) -> np.ndarray:
-    return np.log10(values) if log else values
+def _plot_points(xs, ys, log_log: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Axis coordinates of one series; log axes leave out nonpositive points."""
+    x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    keep = (x > 0) & (y > 0)
+    return (np.log10(x[keep]), np.log10(y[keep])) if log_log else (x, y)
 
 
 def write_svg(
@@ -107,15 +110,19 @@ def write_svg(
     provenance: dict | None = None,
     log_log: bool = False,
 ) -> Path:
-    """Minimal 640x480 line plot: one polyline per series, legend, corner ticks."""
+    """Minimal 640x480 line plot: one polyline per series, legend, corner ticks.
+
+    With ``log_log`` a point with a nonpositive coordinate is left out; a
+    plot with no point left keeps its frame, title and legend, and no ticks.
+    """
     path = Path(path)
     width, height, margin = 640, 480, 60.0
-    xs_all = np.concatenate([np.asarray(x, dtype=float) for x, _ in series.values()])
-    ys_all = np.concatenate([np.asarray(y, dtype=float) for _, y in series.values()])
-    tx_all = _axis_transform(xs_all, log_log)
-    ty_all = _axis_transform(ys_all, log_log)
-    x_lo, x_hi = float(tx_all.min()), float(tx_all.max())
-    y_lo, y_hi = float(ty_all.min()), float(ty_all.max())
+    points = [_plot_points(xs, ys, log_log) for xs, ys in series.values()]
+    tx_all = np.concatenate([x for x, _ in points])
+    ty_all = np.concatenate([y for _, y in points])
+    has_points = tx_all.size > 0
+    x_lo, x_hi = (float(tx_all.min()), float(tx_all.max())) if has_points else (0.0, 0.0)
+    y_lo, y_hi = (float(ty_all.min()), float(ty_all.max())) if has_points else (0.0, 0.0)
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
 
@@ -135,9 +142,7 @@ def write_svg(
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" '
         f'stroke="black"/>',
     ]
-    for i, (name, (xs, ys)) in enumerate(series.items()):
-        tx = _axis_transform(np.asarray(xs, dtype=float), log_log)
-        tyv = _axis_transform(np.asarray(ys, dtype=float), log_log)
+    for i, (name, (tx, tyv)) in enumerate(zip(series, points)):
         pts = " ".join(
             f"{px:.2f},{py:.2f}" for px, py in (to_px(a, b) for a, b in zip(tx, tyv))
         )
@@ -149,14 +154,14 @@ def write_svg(
             f'<text x="{width - margin + 4}" y="{margin + 16 * i}" font-size="12" '
             f'fill="{color}">{name}</text>'
         )
-    for corner, anchor in (((x_lo, y_lo), "start"), ((x_hi, y_lo), "end")):
+    for corner, anchor in (((x_lo, y_lo), "start"), ((x_hi, y_lo), "end")) if has_points else ():
         px, py = to_px(*corner)
         label = f"{10 ** corner[0]:.4g}" if log_log else f"{corner[0]:.4g}"
         parts.append(
             f'<text x="{px}" y="{height - margin + 18}" text-anchor="{anchor}" '
             f'font-size="11">{label}</text>'
         )
-    for yv in (y_lo, y_hi):
+    for yv in (y_lo, y_hi) if has_points else ():
         px, py = to_px(x_lo, yv)
         label = f"{10 ** yv:.4g}" if log_log else f"{yv:.4g}"
         parts.append(

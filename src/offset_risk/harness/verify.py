@@ -3,9 +3,9 @@
 Each check returns a CheckResult with a pass flag, a headline statistic, and
 the margin to its threshold (positive means room to spare). ``run_verify``
 executes the registry in a fixed order and assembles a JSON-ready manifest;
-the manifest is deterministic for a given (config, seed) -- wall-clock
-runtimes are reported alongside but kept out of the manifest so that two runs
-with the same seed produce byte-identical files.
+the manifest is deterministic for a given (config, seed) -- runtimes and peak
+RSS (the CLI's ``verify_timings.json``) are kept out of it, so two runs with
+the same seed produce byte-identical files.
 
 Every check but ``sparse_shape`` and ``aggregation_rate`` is keyed: its
 instance i is built from ``rng_stream(seed, tag, i)`` alone by a module-level
@@ -22,6 +22,7 @@ Monte-Carlo claims carry the confidence slack stated in their check.
 from __future__ import annotations
 
 import functools
+import resource
 import time
 from dataclasses import dataclass
 
@@ -74,6 +75,7 @@ class CheckResult:
     margin: float
     detail: dict
     runtime_s: float
+    peak_rss_kb: int  # the process's ru_maxrss when the check ended (kilobytes on Linux)
 
 
 def _timed(body):
@@ -84,7 +86,8 @@ def _timed(body):
         t0 = time.perf_counter()
         description, passed, statistic, margin, detail = body(config)
         return CheckResult(body.__name__.removeprefix("check_"), description, bool(passed),
-                           float(statistic), float(margin), detail, time.perf_counter() - t0)
+                           float(statistic), float(margin), detail, time.perf_counter() - t0,
+                           resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
     return check
 
@@ -381,8 +384,8 @@ _CHECKS = {check_id: globals()[f"check_{check_id}"] for check_id in CHECK_IDS}
 def run_verify(config: ExperimentConfig) -> tuple[dict, list[CheckResult]]:
     """Run the (selected) checks; returns (manifest, results).
 
-    The manifest is deterministic given (config, seed): runtimes live only in
-    the returned results. Exit-code policy is the caller's: all_pass is False
+    The manifest is deterministic given (config, seed): runtimes and peak
+    RSS live only in the returned results. Exit-code policy is the caller's: all_pass is False
     iff any executed check failed.
     """
     selected = config.checks if config.checks is not None else CHECK_IDS

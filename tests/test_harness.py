@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -194,6 +195,16 @@ class TestOutputs:
         assert text.count("<polyline") == 2
         assert text.startswith("<svg")
         assert '"seed": 3' in text
+
+    def test_log_svg_leaves_out_nonpositive_points(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = write_svg(tmp_path / "plot.svg",
+                          {"mixed": ([1, 2, 4], [0.5, 0.0, -0.25]), "zero": ([1, 2], [0.0, 0.0])},
+                          title="kept", log_log=True)
+        text = p.read_text()
+        assert "nan" not in text and ">kept</text>" in text
+        assert 'points=""' in text and text.count("<line") == 2
 
     def test_json_serializes_numpy(self, tmp_path):
         p = write_json(tmp_path / "s.json", {"arr": np.arange(3), "val": np.float64(0.5)})
@@ -448,6 +459,22 @@ class TestCli:
         assert manifests[0] == manifests[1]
         assert b"worst_key" in manifests[0]
 
+    def test_verify_timings_sidecar(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        checks = ["sparse_identity", "duality"]
+        cfg.write_text(json.dumps({"command": "verify", "seed": 0, "checks": checks}))
+        manifests = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+            manifests.append((out / "verify_manifest.json").read_bytes())
+            timings = json.loads((out / "verify_timings.json").read_text())
+            assert [c["check_id"] for c in timings["checks"]] == checks
+            assert all(c["wall_s"] > 0 and c["peak_rss_kb"] > 0 for c in timings["checks"])
+            assert timings["seed"] == 0 and timings["config_hash"] in manifests[-1].decode()
+        assert manifests[0] == manifests[1]
+        assert b"wall_s" not in manifests[0] and b"peak_rss" not in manifests[0]
+
     def test_aggregate_outputs_round_trip(self, tmp_path):
         cfg = tmp_path / "agg.json"
         cfg.write_text(json.dumps({
@@ -465,6 +492,22 @@ class TestCli:
         doc = json.loads((out / "aggregate_star.json").read_text())
         assert doc["provenance"]["seed"] == 2
         assert set(doc["summary"]["rate"]) == {"slope", "intercept", "r_squared", "points"}
+
+    def test_one_row_dictionary_plots_no_nan(self, tmp_path, capsys):
+        # One row: every excess risk is 0, so a log-log plot has no point. This
+        # used to write points="60.00,nan 580.00,nan" and warn.
+        cfg = tmp_path / "agg.json"
+        cfg.write_text(json.dumps({"n_grid": [8, 16], "replicates": 5, "instance": {
+            "atoms": [{"x": [0.0], "y": 0.5}, {"x": [1.0], "y": -0.5}],
+            "probs": [0.5, 0.5], "b": 1.0, "dictionary": [[0.5, -0.5]]}}))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["aggregate", "--config", str(cfg), "--out", str(out),
+                             "--format", "csv,json,svg"]) == 0
+        assert "degenerate quantiles" in capsys.readouterr().out
+        text = (out / "aggregate_star.svg").read_text()
+        assert "nan" not in text and text.count("<polyline") == 3
 
     def test_one_grid_point_fits_no_rate(self, tmp_path, capsys):
         cfg = tmp_path / "agg.json"
@@ -549,9 +592,12 @@ class TestCli:
         assert err.startswith("config error: ") and field_name in err
         assert list(tmp_path.iterdir()) == [path]
 
-    def test_bad_format_rejected(self, tmp_path):
-        res = self.run_cli("aggregate", "--format", "pdf", "--out", str(tmp_path))
-        assert res.returncode == 2
+    @pytest.mark.parametrize("formats", ["pdf", ",", ""])
+    def test_bad_format_rejected(self, tmp_path, formats):
+        # An empty list (",", "") used to run the command, write nothing and exit 0.
+        res = self.run_cli("aggregate", "--format", formats, "--out", str(tmp_path / "out"))
+        assert res.returncode == 2 and "--format" in res.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_concentration_exit_codes(self, tmp_path, monkeypatch, capsys):
         argv = ["concentration", "--seed", "3", "--out", str(tmp_path)]
@@ -603,6 +649,20 @@ class TestCli:
         )
         assert cli.main(argv) == 1
         assert "t* = not reached" in capsys.readouterr().out
+
+    def test_mirror_reports_an_underflowing_entropy_run(self, tmp_path, capsys):
+        # Step 50 underflows the first entropy iterate to 0: a divergence, not t* = 50.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"mirror_map": "negative_entropy", "step": 50}))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["mirror", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().out.startswith(
+            "mirror[negative_entropy]: iterates diverged after t = 0 ")
+        summary = json.loads((out / "mirror.json").read_text())["summary"]
+        assert summary["t_star"] is None and summary["euler_excess"] is None
+        assert len(read_csv(out / "mirror.csv")[1]) == 1
 
     def test_mirror_reports_a_diverging_run(self, tmp_path, capsys):
         # Step 5 on the default instance overflows the scale guard at t = 10.

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from offset_risk.estimators import MIRROR_MAPS, DivergenceError, mirror_descent
-from offset_risk.instances import random_linear_instance
+from offset_risk.instances import random_linear_instance, rate_study_instance
 from offset_risk.model import DiscreteDistribution, Sample, squared_loss
 
 LOSS = squared_loss(1.0)
@@ -224,6 +224,8 @@ class TestCountWeighting:
             np.testing.assert_allclose([v for _, v in trace.delta_path], deltas, rtol=1e-12)
             np.testing.assert_allclose([v for _, v in trace.bregman_path], divs, rtol=1e-12)
             assert trace.euler_excess == pytest.approx(excess, rel=1e-12)
+            # The stop's offset report is evaluated apart from the delta that stopped it.
+            assert trace.offset.margin == pytest.approx(0.05 - deltas[-1], abs=1e-12)
 
 
 class TestOverflow:
@@ -242,3 +244,20 @@ class TestOverflow:
         assert [t for t, _ in trace.w_path] == [0.0]
         assert trace.w_path[0][1].tolist() == [0.5]
         assert trace.delta_path == [(0.0, 0.5)]
+
+    def test_entropy_underflow_raises_with_infinite_excess_and_no_warning(self):
+        # The default CLI instance at step 50: the first dual step reaches
+        # log(0.5) - 50 * 17.5, and exp underflows to 0, the domain's boundary.
+        # This used to warn, stop at t* = 50 above its bound of 20 and exit 0.
+        dist, _ = rate_study_instance()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as err:
+                mirror_descent(Sample(indices=np.arange(dist.size)), dist, LOSS, [0.0], [0.5],
+                               mirror_map="negative_entropy", epsilon=0.05, step=50.0)
+        trace = err.value.trace
+        assert trace.euler_excess == math.inf
+        assert trace.t_star is None and trace.offset is None
+        assert [t for t, _ in trace.w_path] == [0.0]
+        assert trace.w_path[0][1].tolist() == [0.5]
+        assert trace.delta_path == [(0.0, 8.75)]
