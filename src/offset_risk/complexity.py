@@ -158,6 +158,8 @@ def star_hull_sup(
     dropped: lam = clip(linear / (2 quad), 0, 1), or 1{linear > 0} where
     quad = 0. The argmax is the lowest h index within relative 1e-12 of the
     best value, and the value is always >= 0 because lam = 0 is feasible.
+    The arguments are checked here; the package's own callers, whose quad is
+    nonnegative by construction, call the row kernel behind it directly.
     """
     linear = np.asarray(linear, dtype=np.float64)
     quad = np.asarray(quad, dtype=np.float64)
@@ -165,14 +167,23 @@ def star_hull_sup(
         raise ValueError("linear and quadratic coefficient arrays must align")
     if quad.min(initial=0.0) < 0:
         raise ValueError("quadratic coefficients must be nonnegative")
+    k = linear.shape[-1]
+    rows = _star_hull_rows(linear.reshape(-1, k), quad.reshape(-1, k))
+    return tuple(part.reshape(linear.shape[:-1])[()] for part in rows)
+
+
+def _star_hull_rows(
+    linear: np.ndarray, quad: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`star_hull_sup` of each row of (R, k) ``linear``; ``quad`` broadcasts to it, >= 0."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # clip(linear / (2 quad), 0, 1); at quad = 0 the ratio is +-inf, or
         # NaN when linear = 0 too, which fmax sends to 0.
         lam = np.minimum(np.fmax(linear / (2.0 * quad), 0.0), 1.0)
     values = lam * linear - lam**2 * quad
     j = _lowest_best(values, largest=True)
-    at_j = np.arange(0, values.size, values.shape[-1]).reshape(j.shape) + j  # flat indices
-    return j, lam.ravel()[at_j], values.ravel()[at_j]
+    rows = np.arange(j.size)
+    return j, lam[rows, j], values[rows, j]
 
 
 def _per_draw_sups(
@@ -196,8 +207,7 @@ def _per_draw_sups(
     quad = gamma * _count_product(counts, class_spec._base_sq)
     if pop_sq is not None:
         quad = quad + gamma * n * pop_sq[None, :]
-    linear = _count_product(signed, class_spec.base)
-    return star_hull_sup(linear, np.broadcast_to(quad, linear.shape))[2] / n
+    return _star_hull_rows(_count_product(signed, class_spec.base), quad)[2] / n
 
 
 def offset_complexity_draws(

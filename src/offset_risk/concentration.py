@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexity import FiniteClassSpec, _std_error, star_hull_sup
+from .complexity import FiniteClassSpec, _star_hull_rows, _std_error
 from .model import (DiscreteDistribution, _count_chunks, _count_product, _id_array,
                     _sample_counts, rng_stream)
 
@@ -68,8 +68,9 @@ class MultiplierSetup:
 
     The multiplier is a function of the atom, so every sum over a sample is
     its atom counts times one read-only table ``[zeta * h; h^2]`` of shape
-    (2k, s), built here once along with the table's population mean
-    ``[E zeta h; E h^2]``. The setup also keeps the result of its last
+    (2k, s), built here once along with the shift ``[-E zeta h; E h^2]``: a
+    sample of n draws has ``[A; B / gamma]`` = its sums plus n times the
+    shift. The setup also keeps the result of its last
     :func:`simulate_sup_draws` call, so checks that read the same draws
     (``mgf_verify`` then ``tail_verify``) simulate them once.
     """
@@ -81,7 +82,7 @@ class MultiplierSetup:
     multiplier_bound: float = field(init=False)
     eta: float = field(init=False)
     _table: np.ndarray = field(init=False, repr=False, compare=False)
-    _table_mean: np.ndarray = field(init=False, repr=False, compare=False)
+    _table_shift: np.ndarray = field(init=False, repr=False, compare=False)
     _last_sim: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
@@ -98,13 +99,14 @@ class MultiplierSetup:
                              "underflow) on every positive-probability atom, so the MGF grid "
                              "is undefined")
         table = np.vstack([self.class_spec.base * self.zeta, self.class_spec._base_sq])
-        table_mean = table @ self.joint.probs
-        table.flags.writeable = table_mean.flags.writeable = False
+        table_shift = table @ self.joint.probs
+        table_shift[: table.shape[0] // 2] *= -1.0
+        table.flags.writeable = table_shift.flags.writeable = False
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "multiplier_bound", mult)
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_table_mean", table_mean)
+        object.__setattr__(self, "_table_shift", table_shift)
 
     @property
     def zeta(self) -> np.ndarray:
@@ -146,10 +148,9 @@ class TailReport:
 def _sup_kernel(setup: MultiplierSetup, counts: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     """(argmax, lam, U) per row of (R, s) counts of n atom draws, then the (R, k) A and B."""
     k = setup.class_spec.base.shape[0]
-    sums = _count_product(counts, setup._table)  # (R, 2k)
-    linear = sums[:, :k] - n * setup._table_mean[:k]
-    quad = setup.gamma * (n * setup._table_mean[k:] + sums[:, k:])
-    return (*star_hull_sup(linear, quad), linear, quad)
+    sums = _count_product(counts, setup._table) + n * setup._table_shift  # (R, 2k)
+    linear, quad = sums[:, :k], setup.gamma * sums[:, k:]
+    return (*_star_hull_rows(linear, quad), linear, quad)
 
 
 def multiplier_sup(setup: MultiplierSetup, atom_ids: np.ndarray) -> MultiplierSupResult:
@@ -157,14 +158,8 @@ def multiplier_sup(setup: MultiplierSetup, atom_ids: np.ndarray) -> MultiplierSu
     idx = _id_array(atom_ids)
     counts = _sample_counts(idx, setup.joint.size)
     best, lam, value, linear, quad = _sup_kernel(setup, counts, idx.size)
-    j, lam = int(best[0]), float(lam[0])
-    return MultiplierSupResult(
-        value=float(value[0]),
-        argmax_index=j,
-        argmax_lam=lam,
-        linear_at_max=lam * float(linear[0, j]),
-        quad_at_max=lam**2 * float(quad[0, j]),
-    )
+    j, lam = best.item(), lam.item()
+    return MultiplierSupResult(value.item(), j, lam, lam * linear.item(j), lam**2 * quad.item(j))
 
 
 def self_localization_check(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexity import _lowest_best, star_hull_sup
+from .complexity import _lowest_best, _star_hull_rows
 from .model import (
     Dictionary,
     DiscreteDistribution,
@@ -140,7 +140,7 @@ def _fit_rows(counts: np.ndarray, dist: DiscreteDistribution, loss: LossSpec,
         # g_e + mu (g_f - g_e) has risk R_n(e) - [mu A_f - mu^2 B_f] with
         # A_f = -2 <g_f - g_e, g_e - y>_n: the star-hull kernel's sup.
         linear = -2.0 * (w * diff * (g_e - ys)).sum(axis=-1)
-        p, mu, _ = star_hull_sup(linear, sq_dist)
+        p, mu, _ = _star_hull_rows(linear, sq_dist)
         lam = 1.0 - mu
     weights = np.zeros((rows.size, m))
     weights[rows, e] = lam
@@ -234,11 +234,22 @@ def offset_report_from_values(
     )
 
 
-def _offset_terms(weights, pred, loss, ys, refs):
-    """(R_n(f) - R_n(g), |f - g|_n^2): floats for one (s,) row ``refs``, (r,) arrays for (r, s)."""
-    gap = (loss.eval(pred, ys) - loss.eval(refs, ys)) @ weights
-    quadratic = (pred - refs) ** 2 @ weights
+def _offset_terms(weights, pred, refs, pred_loss, ref_loss):
+    """(R_n(f) - R_n(g), |f - g|_n^2) from the values of f and of g and their losses.
+
+    Floats for one (s,) row ``refs``, (r,) arrays for an (r, s) stack.
+    """
+    gap = (pred_loss - ref_loss).dot(weights)  # the values of @, with less call overhead
+    quadratic = ((pred - refs) ** 2).dot(weights)
     return (float(gap), float(quadratic)) if refs.ndim == 1 else (gap, quadratic)
+
+
+# The last check_offset call's fit: the ids of its (sample, dist, loss,
+# dictionary, predictor), those objects, which keep the ids from being reused, its
+# weights row, the predictor's values and losses, and the dictionary's losses.
+# A call on the same five objects reads them from here; a call on any other
+# replaces the whole tuple. So one fit checked against every row is evaluated once.
+_last_fit: tuple | None = None
 
 
 def check_offset(
@@ -256,17 +267,28 @@ def check_offset(
     lhs is R_n(predictor) - R_n(g); quadratic is the averaged empirical
     square norm (1/n) sum (predictor(X_i) - g(X_i))^2; g is row ``gstar_index``,
     an integer in [0, m). A gamma outside (0, inf) or an epsilon outside
-    [0, inf) is rejected by :func:`offset_report_from_values`.
+    [0, inf) is rejected by :func:`offset_report_from_values`. The predictor's
+    values and losses are evaluated once for consecutive calls on the same
+    objects (all frozen), as when one fit is checked against every row.
     """
+    global _last_fit
     if (not isinstance(gstar_index, (int, np.integer)) or isinstance(gstar_index, bool)
             or not 0 <= gstar_index < dictionary.m):
         raise ValueError(
             f"gstar_index must be an integer in [0, {dictionary.m}), got {gstar_index!r}"
         )
-    dictionary.validate_for(dist)
+    key = (id(sample), id(dist), id(loss), id(dictionary), id(predictor))
+    fit = _last_fit
+    if fit is None or fit[0] != key:
+        dictionary.validate_for(dist)
+        pred = predict_all(dictionary, predictor)
+        fit = (key, (sample, dist, loss, dictionary, predictor), sample.counts(dist)[0] / sample.n,
+               pred, loss.eval(pred, dist.ys), loss.eval(dictionary.values, dist.ys))
+        _last_fit = fit
+    _, _, weights, pred, pred_loss, ref_losses = fit
     return offset_report_from_values(*_offset_terms(
-        sample.counts(dist)[0] / sample.n, predict_all(dictionary, predictor), loss, dist.ys,
-        dictionary.values[gstar_index]), gamma, epsilon)
+        weights, pred, dictionary.values[gstar_index], pred_loss, ref_losses[gstar_index]),
+        gamma, epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +400,12 @@ def mirror_descent(
             bregman_path.append((t, bregman(w_star, w)))
             if delta <= epsilon:
                 t_star = t
-    offset = None if t_star is None else offset_report_from_values(*_offset_terms(
-        weights, xs @ w, loss, ys, xs @ w_star), 0.5 * loss.strong_convexity, epsilon)
+    offset = None
+    if t_star is not None:
+        pred, ref = xs @ w, xs @ w_star
+        offset = offset_report_from_values(*_offset_terms(
+            weights, pred, ref, loss.eval(pred, ys), loss.eval(ref, ys)),
+            0.5 * loss.strong_convexity, epsilon)
     trace = MirrorDescentTrace(
         mirror_map=mirror_map,
         w_path=w_path,

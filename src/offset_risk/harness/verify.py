@@ -114,9 +114,9 @@ def _star_offset_row(config, rng, index):
     sample = Sample(indices=draw_atom_ids(dist, n, rng))
     sol = star(sample, dist, _LOSS, dictionary)
     ref = population_minimizer(dist, _LOSS, dictionary).gstar_index
-    gap, quad = _offset_terms(sample.counts(dist)[0] / sample.n,
-                              sol.weights.weights @ dictionary.values, _LOSS, dist.ys,
-                              dictionary.values)
+    pred = sol.weights.weights @ dictionary.values
+    gap, quad = _offset_terms(sample.counts(dist)[0] / sample.n, pred, dictionary.values,
+                              _LOSS.eval(pred, dist.ys), _LOSS.eval(dictionary.values, dist.ys))
     margins = (-_star_gamma(config) * quad + 0.0) - gap  # check_offset's margin: 0.0, not -0.0
     return margins.min(), margins[ref], np.sum(margins < -1e-10)
 
@@ -362,8 +362,9 @@ def _duality_row(config, rng, index):
     e = erm(sample, dist, _LOSS, dictionary)
     pn = empirical_measure(sample, dist)
     bern = bernstein_check(pn, _LOSS, dictionary.values, dictionary.values[e], gamma)
-    gap, quad = _offset_terms(sample.counts(dist)[0] / sample.n, dictionary.values[e], _LOSS,
-                              dist.ys, dictionary.values)
+    losses = _LOSS.eval(dictionary.values, dist.ys)
+    gap, quad = _offset_terms(sample.counts(dist)[0] / sample.n, dictionary.values[e],
+                              dictionary.values, losses[e], losses)
     return np.abs((-gamma * quad + 0.0) - gap - gamma * bern.margins).max()
 
 

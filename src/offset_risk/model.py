@@ -47,9 +47,10 @@ _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 # Up to this many words per replicate, the numpy Philox kernel computes a
 # whole chunk of replicates at once; above it, one native Philox is re-keyed
-# per replicate. On a 2-core x86 VM with numpy 2.4 the kernel costs about
-# 75 ns per word and re-keying about 5 us per replicate; the two cross near
-# 80 words (6.1 against 6.2 us per replicate).
+# per replicate. On a 2-core x86 VM with numpy 2.4 the kernel costs 35-41 ns
+# per word and re-keying plus random_raw 1.8-2.4 us per replicate, so the two
+# cross near 60 words; from 60 to 80 words they differ by at most about 1 us
+# per replicate, and both give the same words.
 _KERNEL_MAX_WORDS = 80
 # Words per chunk of replicates; bounds the temporaries of both word paths.
 _CHUNK_WORDS = 2**15
@@ -68,6 +69,10 @@ _GUIDE_MIN_UNIFORMS = 2048
 _GUIDE_MAX_BUCKETS = 2**16
 # Rows per block of _count_product; a zero tail block over 2,000 atoms takes 0.5 MB.
 _PRODUCT_ROWS = 32
+# Multiply-adds per block product of _count_product, at most: OpenBLAS runs a
+# product up to 2**18 of them on one thread, so a row's bits do not depend on
+# the number of BLAS threads.
+_PRODUCT_MAX_MADDS = 2**18
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -362,14 +367,15 @@ def draw_atom_ids(dist: DiscreteDistribution, n: int, rng: np.random.Generator) 
 
 
 def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products m * x, from 32-bit limbs."""
+    """High and low 64-bit words of the 128-bit products m * x, from 32-bit limbs.
+
+    Neither partial sum overflows: t and u are at most (2**32 - 1) * 2**32.
+    """
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
     x_lo, x_hi = x & _LO32, x >> _SHIFT32
-    lo_lo = m_lo * x_lo
-    hi_lo = m_hi * x_lo
-    lo_hi = m_lo * x_hi
-    carry = ((lo_lo >> _SHIFT32) + (hi_lo & _LO32) + (lo_hi & _LO32)) >> _SHIFT32
-    hi = m_hi * x_hi + (hi_lo >> _SHIFT32) + (lo_hi >> _SHIFT32) + carry
+    t = m_hi * x_lo + ((m_lo * x_lo) >> _SHIFT32)
+    u = m_lo * x_hi + (t & _LO32)
+    hi = m_hi * x_hi + (t >> _SHIFT32) + (u >> _SHIFT32)
     return hi, np.uint64(m) * x
 
 
@@ -468,13 +474,20 @@ def _count_product(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
     """``rows @ table.T`` in blocks of ``_PRODUCT_ROWS`` rows, the last one padded with zeros.
 
     One block shape is one BLAS kernel, so a row's result is the same in any call holding it.
+    A table whose block product would pass ``_PRODUCT_MAX_MADDS`` goes in groups of functions.
     """
     r, s = rows.shape
+    group = max(1, _PRODUCT_MAX_MADDS // (_PRODUCT_ROWS * s))
+    if table.shape[0] > group:
+        return np.hstack([_count_product(rows, table[lo : lo + group])
+                          for lo in range(0, table.shape[0], group)])
     full = r - r % _PRODUCT_ROWS
+    if full == r:
+        return (rows.reshape(-1, _PRODUCT_ROWS, s) @ table.T).reshape(r, table.shape[0])
     tail = np.zeros((_PRODUCT_ROWS, s))
     tail[: r - full] = rows[full:]
-    head = rows[:full].reshape(-1, _PRODUCT_ROWS, s) @ table.T
-    return np.concatenate([head.reshape(full, table.shape[0]), (tail @ table.T)[: r - full]])
+    tail = (tail @ table.T)[: r - full]
+    return np.concatenate([_count_product(rows[:full], table), tail]) if full else tail
 
 
 def replicate_counts(

@@ -103,12 +103,13 @@ class TestClassAndSetupTables:
         setup = random_multiplier_setup(np.random.default_rng(seed))
         base, probs = setup.class_spec.base, setup.joint.probs
         k = base.shape[0]
-        # One stacked table [zeta h; h^2] and its population mean [E zeta h; E h^2].
+        # One stacked table [zeta h; h^2] and its shift [-E zeta h; E h^2].
         assert same_bits(setup._table, np.vstack([base * setup.zeta[None, :], base**2]))
-        assert same_bits(setup._table_mean, setup._table @ probs)
-        np.testing.assert_allclose(setup._table_mean[:k], (base * setup.zeta) @ probs,
+        mean = setup._table @ probs
+        assert same_bits(setup._table_shift, np.concatenate([-mean[:k], mean[k:]]))
+        np.testing.assert_allclose(setup._table_shift[:k], -(base * setup.zeta) @ probs,
                                    rtol=1e-14, atol=1e-15)
-        np.testing.assert_allclose(setup._table_mean[k:], (base**2) @ probs,
+        np.testing.assert_allclose(setup._table_shift[k:], (base**2) @ probs,
                                    rtol=1e-14, atol=1e-15)
         assert not setup._table.flags.writeable
-        assert not setup._table_mean.flags.writeable
+        assert not setup._table_shift.flags.writeable

@@ -313,6 +313,26 @@ print(digest.hexdigest())
 """
 
 
+# Prints a digest of one count product whose 32-row blocks would take
+# 32 * 2000 * 19 = 1.2M multiply-adds each unsplit, which OpenBLAS threads.
+LARGE_PRODUCT_DIGEST = """
+import hashlib
+import numpy as np
+from offset_risk.model import _count_product
+rng = np.random.default_rng(0)
+rows = rng.integers(0, 5, (100, 2000))
+print(hashlib.sha256(_count_product(rows, rng.uniform(-1, 1, (19, 2000))).tobytes()).hexdigest())
+"""
+
+
+def block_product(rows, table):
+    """rows @ table.T as whole 32-row blocks, the rows padded with zeros: one product, no split."""
+    r, s = rows.shape
+    padded = np.zeros((-(-r // model._PRODUCT_ROWS) * model._PRODUCT_ROWS, s))
+    padded[:r] = rows
+    return (padded.reshape(-1, model._PRODUCT_ROWS, s) @ table.T).reshape(-1, table.shape[0])[:r]
+
+
 class TestCountProduct:
     """Every keyed count product goes through model._count_product's fixed row blocks."""
 
@@ -340,6 +360,30 @@ class TestCountProduct:
             long = keyed_entry_points(dist, spec, n, 5000, 3)
             for a, b in zip(short, long):
                 assert a.tobytes() == b[:20].tobytes()
+
+    @pytest.mark.parametrize("r", [1, 31, 32, 40, 64])
+    def test_a_table_is_split_only_past_the_block_budget(self, r):
+        # 32 * 2048 * 4 is exactly 2**18 multiply-adds: one product. A fifth
+        # function makes two groups of functions, 4 and 1.
+        rng = np.random.default_rng(r)
+        rows = rng.integers(0, 4, (r, 2048))
+        table = rng.uniform(-1, 1, (5, 2048))
+        assert model._count_product(rows, table[:4]).tobytes() == \
+            block_product(rows, table[:4]).tobytes()
+        split = model._count_product(rows, table)
+        assert split.tobytes() == np.hstack([block_product(rows, table[:4]),
+                                             block_product(rows, table[4:])]).tobytes()
+        np.testing.assert_allclose(split, rows @ table.T, rtol=1e-12, atol=1e-9)
+
+    def test_a_large_table_does_not_depend_on_the_blas_thread_count(self):
+        src = str(Path(complexity.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            res = subprocess.run([sys.executable, "-c", LARGE_PRODUCT_DIGEST],
+                                 capture_output=True, text=True, check=True, env=env)
+            digests.append(res.stdout)
+        assert digests[0] == digests[1]
 
     def test_keyed_values_do_not_depend_on_the_blas_thread_count(self):
         tests = str(Path(__file__).resolve().parent)
@@ -380,6 +424,10 @@ class TestStarHullSup:
     def test_negative_quadratic_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             star_hull_sup([1.0], [-0.1])
+        quad = np.ones((2, 3, 4))
+        quad[1, 2, 3] = -0.1
+        with pytest.raises(ValueError, match="nonnegative"):
+            star_hull_sup(np.ones((2, 3, 4)), quad)
 
     def test_subnormal_quadratic_clips_without_warning(self):
         # linear / (2 quad) overflows to inf; lam is clipped to 1 silently.
@@ -402,6 +450,21 @@ class TestStarHullSup:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="align"):
             star_hull_sup(np.zeros((2, 3)), np.zeros((3, 2)))
+        # The row kernel behind it broadcasts quad; the public function does not.
+        with pytest.raises(ValueError, match="align"):
+            star_hull_sup(np.ones((3, 2)), np.ones((1, 2)))
+
+    def test_any_leading_shape_is_its_rows(self):
+        rng = np.random.default_rng(9)
+        linear, quad = rng.normal(size=(2, 3, 4)), rng.uniform(0, 2, (2, 3, 4))
+        quad[0, 1] = 0.0
+        flat = star_hull_sup(linear.reshape(6, 4), quad.reshape(6, 4))
+        for got, rows in zip(star_hull_sup(linear, quad), flat):
+            assert got.shape == (2, 3)
+            assert got.tobytes() == rows.reshape(2, 3).tobytes()
+        # One row in, numpy scalars out.
+        assert all(np.ndim(part) == 0 and not isinstance(part, np.ndarray)
+                   for part in star_hull_sup(linear[0, 0], quad[0, 0]))
 
     @settings(max_examples=60, deadline=None)
     @given(coefficient_rows())

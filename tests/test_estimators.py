@@ -1,10 +1,14 @@
 """Aggregation estimators: exact solves, feasibility, offset margins, duality."""
 
+import dataclasses
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from offset_risk import estimators
 from offset_risk.complexity import _lowest_best
 from offset_risk.estimators import (
     _fit_rows,
@@ -21,6 +25,7 @@ from offset_risk.instances import random_instance, rate_study_instance
 from offset_risk.model import (
     DiscreteDistribution,
     Dictionary,
+    LossSpec,
     PredictorWeights,
     Sample,
     draw_sample,
@@ -389,9 +394,10 @@ class TestOffsetTerms:
 
     def test_stack_matches_per_row_check_offset(self):
         for sample, dist, dictionary, w in self.random_fits(71, 100):
-            gap, quadratic = _offset_terms(sample.counts(dist)[0] / sample.n,
-                                           predict_all(dictionary, w), LOSS, dist.ys,
-                                           dictionary.values)
+            pred = predict_all(dictionary, w)
+            gap, quadratic = _offset_terms(sample.counts(dist)[0] / sample.n, pred,
+                                           dictionary.values, LOSS.eval(pred, dist.ys),
+                                           LOSS.eval(dictionary.values, dist.ys))
             assert gap.shape == quadratic.shape == (dictionary.m,)
             reports = [check_offset(sample, dist, LOSS, dictionary, w, g, 0.5)
                        for g in range(dictionary.m)]
@@ -401,9 +407,76 @@ class TestOffsetTerms:
 
     def test_one_row_gives_floats(self):
         sample, dist, dictionary, w = next(self.random_fits(72, 1))
-        terms = _offset_terms(sample.counts(dist)[0] / sample.n, predict_all(dictionary, w),
-                              LOSS, dist.ys, dictionary.values[0])
+        pred, ref = predict_all(dictionary, w), dictionary.values[0]
+        terms = _offset_terms(sample.counts(dist)[0] / sample.n, pred, ref,
+                              LOSS.eval(pred, dist.ys), LOSS.eval(ref, dist.ys))
         assert all(type(t) is float for t in terms)
+
+
+class HalvedLoss(LossSpec):
+    """Half the squared loss: a loss object whose values differ from LOSS's."""
+
+    def eval(self, p, y):
+        return 0.5 * super().eval(p, y)
+
+
+def report_bits(report):
+    """A report's fields, each float by its bits, so -0.0 and 0.0 differ."""
+    return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(report))
+
+
+class TestCheckOffsetMemo:
+    """check_offset keeps its last fit's evaluation; every report equals a fresh one."""
+
+    GAMMA = 1.0 / 18.0
+
+    def argument_sets(self):
+        """A base (sample, dist, loss, dictionary, predictor) and seven sets differing in one.
+
+        The two laws share a support size, so both samples and predictors fit
+        either; one predictor equals the base's in value but is another object.
+        """
+        rng = np.random.default_rng(80)
+        s, m = 7, 5
+        dists = [DiscreteDistribution(xs=rng.normal(size=(s, 2)), ys=rng.uniform(-1, 1, s),
+                                      probs=rng.dirichlet(np.ones(s)), b=1.0) for _ in range(2)]
+        dictionaries = [Dictionary(values=rng.uniform(-1, 1, (m, s)), b=1.0) for _ in range(2)]
+        samples = [Sample(indices=rng.integers(0, s, n)) for n in (6, 11)]
+        weights = rng.dirichlet(np.ones(m), size=2)
+        predictors = [PredictorWeights(weights=w) for w in weights]
+        twin = PredictorWeights(weights=weights[0].copy())
+        base = (samples[0], dists[0], LOSS, dictionaries[0], predictors[0])
+        swaps = [(0, samples[1]), (1, dists[1]), (2, squared_loss(1.0)), (2, HalvedLoss(1.0)),
+                 (3, dictionaries[1]), (4, predictors[1]), (4, twin)]
+        return base, [base[:i] + (obj,) + base[i + 1:] for i, obj in swaps], m
+
+    def fresh(self, args, g):
+        estimators._last_fit = None
+        return report_bits(check_offset(*args, g, self.GAMMA))
+
+    def test_interleaved_calls_equal_fresh_evaluations_bit_for_bit(self):
+        base, others, m = self.argument_sets()
+        for other in others:
+            expected = {id(args): [self.fresh(args, g) for g in range(m)] for args in (base, other)}
+            estimators._last_fit = None
+            # A-B-A with every row per set (the memo hits), then per row (it misses).
+            for args in (base, other, base):
+                for g in range(m):
+                    assert report_bits(check_offset(*args, g, self.GAMMA)) == expected[id(args)][g]
+            for g in range(m):
+                for args in (base, other, base):
+                    assert report_bits(check_offset(*args, g, self.GAMMA)) == expected[id(args)][g]
+
+    def test_the_memo_holds_only_the_last_call(self):
+        base, others, _ = self.argument_sets()
+        sample, predictor = Sample(indices=[0, 3, 3]), PredictorWeights(weights=base[4].weights)
+        check_offset(sample, *base[1:4], predictor, 0, self.GAMMA)
+        gone = [weakref.ref(sample), weakref.ref(predictor)]
+        del sample, predictor
+        check_offset(*others[0], 1, self.GAMMA)
+        gc.collect()
+        assert all(ref() is None for ref in gone)
+        assert all(a is b for a, b in zip(estimators._last_fit[1], others[0]))
 
 
 class TestOffsetBernsteinDuality:
