@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import comb, isnan, log, prod
+from math import comb, isnan, log, nextafter, prod
 
 import numpy as np
 
@@ -364,8 +364,9 @@ def local_complexity_fixed_point(
 
     Solved by bisection on the Monte-Carlo curve; all radius evaluations use
     common random numbers so the estimated phi is nondecreasing in r and the
-    crossing is unique. The reported std_error is the Monte-Carlo standard
-    error of phi at the returned radius.
+    crossing is unique. The bracket stops within r_tol, or earlier where lo
+    and hi are adjacent doubles. The reported std_error is the Monte-Carlo
+    standard error of phi at the returned radius.
     """
     if not 0 < gamma < np.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
@@ -378,19 +379,19 @@ def local_complexity_fixed_point(
 
     hi = float(gamma * pop_sq.max()) if pop_sq.max() > 0 else r_tol
     hi = max(hi, r_tol)
-    for _ in range(200):
-        if phi(hi) <= hi:
-            break
+    # hi >= gamma * max E h^2: from there on every lam_max is exactly 1 and phi
+    # is constant, so the bracket doubles hi until it reaches that value.
+    top = phi(hi)
+    while hi < top:
         hi *= 2.0
-    else:
-        raise RuntimeError("failed to bracket the fixed point from above")
     lo = 0.0
     floor = max(r_tol * 1e-3, 1e-300)
     degenerate = phi(floor) <= floor
     if degenerate:
         # Degenerate class: the curve starts below the diagonal.
         lo = hi = floor
-    while hi - lo > r_tol:
+    # Stop at r_tol, or where no double lies strictly between lo and hi.
+    while hi - lo > r_tol and nextafter(lo, hi) < hi:
         mid = 0.5 * (lo + hi)
         if phi(mid) <= mid:
             hi = mid

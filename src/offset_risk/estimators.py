@@ -235,20 +235,19 @@ def offset_report_from_values(
 
 
 def _offset_terms(weights, pred, refs, pred_loss, ref_loss):
-    """(R_n(f) - R_n(g), |f - g|_n^2) from the values of f and of g and their losses.
+    """(R_n(f) - R_n(g), |f - g|_n^2) for each row g of an (r, s) stack: two (r,) arrays.
 
-    Floats for one (s,) row ``refs``, (r,) arrays for an (r, s) stack.
+    From the values of f and of the rows and their losses; atom a weighs weights[a].
     """
-    gap = (pred_loss - ref_loss).dot(weights)  # the values of @, with less call overhead
-    quadratic = ((pred - refs) ** 2).dot(weights)
-    return (float(gap), float(quadratic)) if refs.ndim == 1 else (gap, quadratic)
+    return (pred_loss - ref_loss).dot(weights), ((pred - refs) ** 2).dot(weights)
 
 
 # The last check_offset call's fit: the ids of its (sample, dist, loss,
-# dictionary, predictor), those objects, which keep the ids from being reused, its
-# weights row, the predictor's values and losses, and the dictionary's losses.
-# A call on the same five objects reads them from here; a call on any other
-# replaces the whole tuple. So one fit checked against every row is evaluated once.
+# dictionary, predictor), those objects, which keep the ids from being reused,
+# and the fit's (gap, quadratic) against every dictionary row, as lists of
+# floats (a list index is cheaper than an array's and gives a float). A call
+# on the same five objects reads its row from here; a call on any other replaces
+# the whole tuple. So one fit checked against every row is evaluated once.
 _last_fit: tuple | None = None
 
 
@@ -267,9 +266,10 @@ def check_offset(
     lhs is R_n(predictor) - R_n(g); quadratic is the averaged empirical
     square norm (1/n) sum (predictor(X_i) - g(X_i))^2; g is row ``gstar_index``,
     an integer in [0, m). A gamma outside (0, inf) or an epsilon outside
-    [0, inf) is rejected by :func:`offset_report_from_values`. The predictor's
-    values and losses are evaluated once for consecutive calls on the same
-    objects (all frozen), as when one fit is checked against every row.
+    [0, inf) is rejected by :func:`offset_report_from_values`. The first call
+    on a fit evaluates both terms against every row at once; consecutive calls
+    on the same objects (all frozen), as when one fit is checked against every
+    row, read their row of that table.
     """
     global _last_fit
     if (not isinstance(gstar_index, (int, np.integer)) or isinstance(gstar_index, bool)
@@ -282,13 +282,12 @@ def check_offset(
     if fit is None or fit[0] != key:
         dictionary.validate_for(dist)
         pred = predict_all(dictionary, predictor)
-        fit = (key, (sample, dist, loss, dictionary, predictor), sample.counts(dist)[0] / sample.n,
-               pred, loss.eval(pred, dist.ys), loss.eval(dictionary.values, dist.ys))
-        _last_fit = fit
-    _, _, weights, pred, pred_loss, ref_losses = fit
-    return offset_report_from_values(*_offset_terms(
-        weights, pred, dictionary.values[gstar_index], pred_loss, ref_losses[gstar_index]),
-        gamma, epsilon)
+        gap, quadratic = _offset_terms(sample.counts(dist)[0] / sample.n, pred, dictionary.values,
+                                       loss.eval(pred, dist.ys),
+                                       loss.eval(dictionary.values, dist.ys))
+        fit = _last_fit = (key, (sample, dist, loss, dictionary, predictor),
+                           gap.tolist(), quadratic.tolist())
+    return offset_report_from_values(fit[2][gstar_index], fit[3][gstar_index], gamma, epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +401,10 @@ def mirror_descent(
                 t_star = t
     offset = None
     if t_star is not None:
-        pred, ref = xs @ w, xs @ w_star
-        offset = offset_report_from_values(*_offset_terms(
-            weights, pred, ref, loss.eval(pred, ys), loss.eval(ref, ys)),
-            0.5 * loss.strong_convexity, epsilon)
+        pred, ref = xs @ w, (xs @ w_star)[None, :]
+        gap, quadratic = _offset_terms(weights, pred, ref, loss.eval(pred, ys), loss.eval(ref, ys))
+        offset = offset_report_from_values(float(gap[0]), float(quadratic[0]),
+                                           0.5 * loss.strong_convexity, epsilon)
     trace = MirrorDescentTrace(
         mirror_map=mirror_map,
         w_path=w_path,

@@ -11,7 +11,9 @@ mirror         early-stopped mirror descent trace on the instance features;
                diverging run included
 verify         full verification suite; exit code 0 iff every check passes
 
-All outputs embed the config hash and master seed.
+Every command exits 2, before it runs, on a config error, a bad --format or
+an --out directory it cannot create. All outputs embed the config hash and
+master seed.
 """
 
 from __future__ import annotations
@@ -262,16 +264,17 @@ def _cmd_mirror(config: ExperimentConfig, out: Path, formats: list[str]) -> int:
 
 def _cmd_verify(config: ExperimentConfig, out: Path, formats: list[str]) -> int:
     manifest, results = run_verify(config)
-    out.mkdir(parents=True, exist_ok=True)
     write_json(out / "verify_manifest.json", manifest)
     write_json(out / "verify_timings.json", {**_provenance(config), "checks": [
         {"check_id": r.check_id, "wall_s": r.runtime_s, "peak_rss_kb": r.peak_rss_kb}
         for r in results]})
     for r in results:
         line = "pass" if r.passed else "FAIL"
-        # A failing keyed check names the instance that sets its margin.
-        key = r.detail.get("worst_key")
-        replay = f" worst_key {json.dumps(key)}" if key is not None and not r.passed else ""
+        # A failing check names what replays its margin: a keyed check its
+        # instance, sparse_shape its cell.
+        replay = "".join(f" {name} {json.dumps(r.detail[name])}"
+                         for name in ("worst_key", "worst_cell")
+                         if not r.passed and r.detail.get(name) is not None)
         print(
             f"[{line}] {r.check_id}: statistic {r.statistic:.6g}, "
             f"margin {r.margin:.3g} ({r.runtime_s:.1f}s){replay}"
@@ -294,6 +297,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"--format must name some of csv, json and svg, got {args.format!r}", file=sys.stderr)
         return 2
     out = Path(args.out)
+    made = not out.exists()
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        print(f"output error: {err}", file=sys.stderr)
+        return 2
     dispatch = {
         "aggregate": _cmd_aggregate,
         "complexity": _cmd_complexity,
@@ -301,7 +310,10 @@ def main(argv: list[str] | None = None) -> int:
         "mirror": _cmd_mirror,
         "verify": _cmd_verify,
     }
-    return dispatch[config.command](config, out, formats)
+    code = dispatch[config.command](config, out, formats)
+    if code == 2 and made:
+        out.rmdir()  # a config error the command finds (a degenerate setup) writes nothing
+    return code
 
 
 if __name__ == "__main__":

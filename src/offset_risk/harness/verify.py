@@ -37,7 +37,7 @@ from ..complexity import (
     subset_family,
 )
 from ..concentration import mgf_verify, self_localization_check, tail_verify
-from ..estimators import _offset_terms, erm, mirror_descent, star
+from ..estimators import check_offset, erm, mirror_descent, star
 from ..instances import (
     random_instance,
     random_linear_instance,
@@ -45,7 +45,8 @@ from ..instances import (
     random_star_class,
     rate_study_instance,
 )
-from ..model import DiscreteDistribution, Sample, draw_atom_ids, rng_stream, squared_loss
+from ..model import (DiscreteDistribution, PredictorWeights, Sample, draw_atom_ids, rng_stream,
+                     squared_loss)
 from ..risk import bernstein_check, empirical_measure, population_minimizer
 from .aggregate import run_aggregate
 from .config import CHECK_IDS, ExperimentConfig, config_hash
@@ -114,10 +115,8 @@ def _star_offset_row(config, rng, index):
     sample = Sample(indices=draw_atom_ids(dist, n, rng))
     sol = star(sample, dist, _LOSS, dictionary)
     ref = population_minimizer(dist, _LOSS, dictionary).gstar_index
-    pred = sol.weights.weights @ dictionary.values
-    gap, quad = _offset_terms(sample.counts(dist)[0] / sample.n, pred, dictionary.values,
-                              _LOSS.eval(pred, dist.ys), _LOSS.eval(dictionary.values, dist.ys))
-    margins = (-_star_gamma(config) * quad + 0.0) - gap  # check_offset's margin: 0.0, not -0.0
+    margins = np.array([check_offset(sample, dist, _LOSS, dictionary, sol.weights, g,
+                                     _star_gamma(config)).margin for g in range(dictionary.m)])
     return margins.min(), margins[ref], np.sum(margins < -1e-10)
 
 
@@ -362,10 +361,10 @@ def _duality_row(config, rng, index):
     e = erm(sample, dist, _LOSS, dictionary)
     pn = empirical_measure(sample, dist)
     bern = bernstein_check(pn, _LOSS, dictionary.values, dictionary.values[e], gamma)
-    losses = _LOSS.eval(dictionary.values, dist.ys)
-    gap, quad = _offset_terms(sample.counts(dist)[0] / sample.n, dictionary.values[e],
-                              dictionary.values, losses[e], losses)
-    return np.abs((-gamma * quad + 0.0) - gap - gamma * bern.margins).max()
+    w = PredictorWeights(weights=np.eye(dictionary.m)[e])
+    margins = np.array([check_offset(sample, dist, _LOSS, dictionary, w, g, gamma).margin
+                        for g in range(dictionary.m)])
+    return np.abs(margins - gamma * bern.margins).max()
 
 
 @_timed

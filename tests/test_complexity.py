@@ -697,6 +697,19 @@ class TestLocalFixedPoint:
                                            r_tol=1e-6, seed=0)
         assert est.value == 0.0
 
+    @pytest.mark.parametrize("scale, gamma, r_tol", [(1e-100, 1.0, 1e-250), (1e12, 1e-20, 1e-6)],
+                             ids=["needs-330-doublings", "r_tol-below-double-spacing"])
+    def test_a_bounded_curve_is_bracketed_and_bisected_to_an_end(self, scale, gamma, r_tol):
+        # From gamma * max E h^2 on, phi is constant. The first case used to
+        # stop doubling after 200 steps and raise; the second, whose fixed
+        # point (about 1.4e11) has doubles 3e-5 apart, used to bisect forever.
+        dist = uniform_dist(4)
+        spec = FiniteClassSpec(base=scale * np.array([[1.0, -1.0, 1.0, 1.0]]))
+        est = local_complexity_fixed_point(dist, spec, gamma, n=8, mc_replicates=1000,
+                                           r_tol=r_tol, seed=0)
+        S, pop_sq = local_sup_stats(dist, spec, 8, 1000, 0)
+        assert 0.0 < est.value and phi_from_stats(S, pop_sq, gamma, est.value)[0] <= est.value
+
     def test_single_function_matches_grid_scan(self):
         # For one base function the curve is min(1, sqrt(r / (g v))) * K with
         # K the mean positive part; scan a fine r grid built from the same

@@ -383,34 +383,36 @@ class TestOffsetTerms:
             for w in fits:
                 yield sample, dist, dictionary, w
 
-    def test_check_offset_is_bit_for_bit_the_per_row_expression(self):
+    def test_check_offset_is_row_g_of_one_stack_evaluation(self):
+        # Bit for bit row g of one _offset_terms call on the (m, s) stack; the
+        # expression per row that it replaced agrees within 1e-15.
+        gamma = 1.0 / 18.0
         for sample, dist, dictionary, w in self.random_fits(70, 100):
-            gamma = 1.0 / 18.0
-            for g in range(dictionary.m):
-                report = check_offset(sample, dist, LOSS, dictionary, w, g, gamma)
-                lhs, quadratic = parent_offset_terms(sample, dist, LOSS, dictionary, w, g)
-                assert (report.lhs, report.quadratic) == (lhs, quadratic)
-                assert report.margin == (-gamma * quadratic + 0.0) - lhs
-
-    def test_stack_matches_per_row_check_offset(self):
-        for sample, dist, dictionary, w in self.random_fits(71, 100):
             pred = predict_all(dictionary, w)
             gap, quadratic = _offset_terms(sample.counts(dist)[0] / sample.n, pred,
                                            dictionary.values, LOSS.eval(pred, dist.ys),
                                            LOSS.eval(dictionary.values, dist.ys))
             assert gap.shape == quadratic.shape == (dictionary.m,)
-            reports = [check_offset(sample, dist, LOSS, dictionary, w, g, 0.5)
-                       for g in range(dictionary.m)]
-            np.testing.assert_allclose(gap, [r.lhs for r in reports], rtol=0, atol=1e-15)
-            np.testing.assert_allclose(quadratic, [r.quadratic for r in reports],
-                                       rtol=0, atol=1e-15)
+            for g in range(dictionary.m):
+                report = check_offset(sample, dist, LOSS, dictionary, w, g, gamma)
+                assert report_bits(report)[:2] == (gap[g].hex(), quadratic[g].hex())
+                assert report.margin.hex() == ((-gamma * quadratic[g] + 0.0) - gap[g]).hex()
+                lhs, quad = parent_offset_terms(sample, dist, LOSS, dictionary, w, g)
+                assert abs(report.lhs - lhs) <= 1e-15 and abs(report.quadratic - quad) <= 1e-15
 
-    def test_one_row_gives_floats(self):
+    def test_a_fit_checked_against_every_row_is_evaluated_once(self, monkeypatch):
+        real, shapes = estimators._offset_terms, []
+
+        def spy(weights, pred, refs, pred_loss, ref_loss):
+            shapes.append(refs.shape)
+            return real(weights, pred, refs, pred_loss, ref_loss)
+
+        monkeypatch.setattr(estimators, "_offset_terms", spy)
+        estimators._last_fit = None
         sample, dist, dictionary, w = next(self.random_fits(72, 1))
-        pred, ref = predict_all(dictionary, w), dictionary.values[0]
-        terms = _offset_terms(sample.counts(dist)[0] / sample.n, pred, ref,
-                              LOSS.eval(pred, dist.ys), LOSS.eval(ref, dist.ys))
-        assert all(type(t) is float for t in terms)
+        for g in range(dictionary.m):
+            check_offset(sample, dist, LOSS, dictionary, w, g, 0.5)
+        assert shapes == [dictionary.values.shape]
 
 
 class HalvedLoss(LossSpec):

@@ -18,9 +18,10 @@ from offset_risk.harness.aggregate import fit_rate, run_aggregate
 from offset_risk.harness.config import ExperimentConfig, config_hash
 from offset_risk.harness.outputs import read_csv, write_csv, write_json, write_svg
 from offset_risk.harness.verify import run_verify
-from offset_risk.estimators import check_offset, star
+from offset_risk.estimators import check_offset, erm, star
 from offset_risk.instances import random_instance, rate_study_instance
-from offset_risk.model import Dictionary, Sample, draw_atom_ids, rng_stream
+from offset_risk.model import Dictionary, PredictorWeights, Sample, draw_atom_ids, rng_stream
+from offset_risk.risk import bernstein_check, empirical_measure, population_minimizer
 
 
 class TestConfig:
@@ -362,7 +363,37 @@ class TestRunVerify:
         sol = star(sample, dist, verify._LOSS, dictionary)
         margins = [check_offset(sample, dist, verify._LOSS, dictionary, sol.weights, g,
                                 gamma=1.0 / 18.0).margin for g in range(dictionary.m)]
-        assert min(margins) == pytest.approx(result.statistic, abs=1e-15)
+        assert min(margins) == result.statistic
+
+    def test_offset_rows_reduce_check_offset_reports_bit_for_bit(self):
+        # Both rows are formed from check_offset's reports, not from a second
+        # evaluation of the margin, so each equals the reduction written here.
+        cfg, loss = ExperimentConfig(command="verify", seed=0), verify._LOSS
+        for index in range(200):
+            rng = rng_stream(0, "verify-star-offset", index)
+            dist, dictionary = random_instance(rng, max_atoms=12, max_m=10, b=1.0)
+            sample = Sample(indices=draw_atom_ids(dist, int(rng.integers(2, 51)), rng))
+            sol = star(sample, dist, loss, dictionary)
+            margins = np.array([check_offset(sample, dist, loss, dictionary, sol.weights, g,
+                                             1.0 / 18.0).margin for g in range(dictionary.m)])
+            ref = population_minimizer(dist, loss, dictionary).gstar_index
+            expected = (margins.min(), margins[ref], np.sum(margins < -1e-10))
+            row = verify._star_offset_row(cfg, rng_stream(0, "verify-star-offset", index), index)
+            assert np.array(row, float).tobytes() == np.array(expected, float).tobytes()
+        for index in range(100):
+            rng = rng_stream(0, "verify-duality", index)
+            dist, dictionary = random_instance(rng)
+            sample = Sample(indices=draw_atom_ids(dist, int(rng.integers(3, 40)), rng))
+            gamma = float(rng.uniform(0.05, 2.0)) if index % 2 else 1.0
+            e = erm(sample, dist, loss, dictionary)
+            w = PredictorWeights(weights=np.eye(dictionary.m)[e])
+            margins = np.array([check_offset(sample, dist, loss, dictionary, w, g, gamma).margin
+                                for g in range(dictionary.m)])
+            bern = bernstein_check(empirical_measure(sample, dist), loss, dictionary.values,
+                                   dictionary.values[e], gamma)
+            expected = np.abs(margins - gamma * bern.margins).max()
+            row = verify._duality_row(cfg, rng_stream(0, "verify-duality", index), index)
+            assert row.hex() == expected.hex()
 
     def test_mgf_and_tail_checks_simulate_each_setup_once(self, monkeypatch):
         calls = []
@@ -441,6 +472,35 @@ class TestCli:
         key = manifest["checks"][0]["detail"]["worst_key"]
         fail_line = next(line for line in res.stdout.splitlines() if line.startswith("[FAIL]"))
         assert fail_line.endswith(f"worst_key {json.dumps(key)}")
+
+    def test_a_failing_sparse_shape_names_its_cell(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(verify, "SPARSE_RATIO_BOUND", 0.1)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": "verify", "seed": 0, "checks": ["sparse_shape"]}))
+        out = tmp_path / "out"
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
+        manifest = json.loads((out / "verify_manifest.json").read_text())
+        cell = manifest["checks"][0]["detail"]["worst_cell"]
+        fail_line = next(line for line in capsys.readouterr().out.splitlines()
+                         if line.startswith("[FAIL] sparse_shape"))
+        assert fail_line.endswith(f" worst_cell {json.dumps(cell)}")
+
+    @pytest.mark.parametrize("command", ["verify", "mirror"])
+    def test_an_unusable_out_exits_2_before_the_command_runs(self, tmp_path, monkeypatch,
+                                                             capsys, command):
+        # A file as --out used to surface after the run: a FileExistsError
+        # traceback from verify, exit 1 from mirror, both read as a failed run.
+        def never(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(cli, "run_verify", never)
+        monkeypatch.setattr(cli, "mirror_descent", never)
+        path = tmp_path / "f"
+        path.touch()
+        for out in (path, path / "sub"):
+            assert cli.main([command, "--seed", "0", "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith("output error: ")
+        assert path.read_bytes() == b""
 
     def test_verify_manifest_independent_of_hash_seed(self, tmp_path):
         cfg = tmp_path / "cfg.json"
